@@ -26,23 +26,14 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """One fully wired simulated DSE cluster.
-
-    Construction is factored into overridable hooks (``_init_sims``,
-    ``_machine_sim``, ``_build_network``, ``_post_build``) so the sharded
-    variant (:class:`repro.shard.cluster.ShardedCluster`) can distribute
-    machines across several concurrently advancing simulators while
-    reusing every other wiring step verbatim."""
-
-    #: overridden by the sharded subclass; drives incremental-run guards
-    is_sharded = False
+    """One fully wired simulated DSE cluster."""
 
     def __init__(self, config: ClusterConfig, start_time: float = 0.0):
         # ``start_time`` restarts the simulated clock mid-history: the
         # replay debugger's snapshot-restore path builds a fresh cluster
         # whose clock begins at the checkpoint's commit time.
         self.config = config
-        self._init_sims(start_time)
+        self.sim = Simulator(start_time=start_time)
         self.rng = RandomStreams(config.seed)
         from ..obs import MetricsSampler, SpanRecorder
         from ..sim.monitor import Tracer, StatSet
@@ -53,7 +44,7 @@ class Cluster:
         #: ``sim.obs`` at construction time, so it must exist before any
         #: network/machine component is built.
         self.obs = SpanRecorder(enabled=config.obs_trace, limit=config.obs_span_limit)
-        self._attach_obs()
+        self.sim.obs = self.obs
         #: dynamic sanitizers (race/deadlock detection; repro.sanitize).
         #: Must exist before the kernels — gmem and sync capture it at
         #: construction time.
@@ -86,14 +77,13 @@ class Cluster:
             self.replay = ReplayRecorder(self, config.replay)
 
         n_machines = config.machines_used
-        self.network = self._build_network(n_machines)
+        self.network = build_network(self.sim, self.rng, n_machines, config.fabric)
         self.machines: List[Machine] = []
         for m in range(n_machines):
             nic = self.network.nic(m)
-            sim = self._machine_sim(m)
-            transport = make_transport(sim, nic, config.transport)
+            transport = make_transport(self.sim, nic, config.transport)
             node = NodeSpec(node_id=m, platform=config.platform_of_machine(m))
-            self.machines.append(Machine(sim, node, nic, transport))
+            self.machines.append(Machine(self.sim, node, nic, transport))
 
         self.kernels: List[DSEKernel] = [
             DSEKernel(k, self.machines[config.machine_of(k)], self)
@@ -117,44 +107,6 @@ class Cluster:
             self.metrics = MetricsSampler(self.sim, config.obs_metrics_interval)
             self._register_metrics_sources(self.metrics)
             self.metrics.start()
-
-        self._post_build()
-
-    # -- construction hooks (overridden by the sharded cluster) -------------
-    def _init_sims(self, start_time: float) -> None:
-        """Create the simulator(s); ``self.sim`` is the canonical clock."""
-        self.sim = Simulator(start_time=start_time)
-        #: every event loop of this cluster (one here; one per shard there)
-        self.sims = [self.sim]
-
-    def _attach_obs(self) -> None:
-        for sim in self.sims:
-            sim.obs = self.obs
-
-    def _machine_sim(self, machine_id: int) -> Simulator:
-        """The event loop machine ``machine_id`` (and its kernels) run on."""
-        return self.sim
-
-    def _build_network(self, n_machines: int):
-        return build_network(self.sim, self.rng, n_machines, self.config.fabric)
-
-    def _post_build(self) -> None:
-        """Last construction step (the sharded cluster builds its engine)."""
-
-    # -- execution ----------------------------------------------------------
-    def run_all(self) -> None:
-        """Drain the event loop(s) to completion."""
-        self.sim.run_all()
-
-    def total_events(self) -> int:
-        return self.sim.events_processed
-
-    def total_cancelled(self) -> int:
-        return self.sim.events_cancelled
-
-    def master_sim(self) -> Simulator:
-        """The event loop that hosts the master driver (kernel 0's)."""
-        return self._machine_sim(self.config.machine_of(0))
 
     def _register_metrics_sources(self, sampler) -> None:
         """Wire the explanatory levels + every subsystem StatSet."""
@@ -251,18 +203,14 @@ class Cluster:
             yield from origin.request_shutdown_of(k)
 
     # -- aggregate statistics ---------------------------------------------------
-    def _fabric_snapshot(self, out: Dict[str, float]) -> None:
-        """Fabric counters (the sharded cluster sums its per-shard cards)."""
+    def stats_snapshot(self) -> Dict[str, float]:
+        """Cluster-wide counters the experiment reports cite."""
+        out: Dict[str, float] = {}
         fabric = self.network.fabric
         out["net.frames_sent"] = fabric.stats.counter("frames_sent").value
         out["net.collisions"] = fabric.stats.counter("collisions").value
         out["net.bytes_sent"] = fabric.stats.counter("bytes_sent").value
         out["net.collision_rate"] = fabric.collision_rate()
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        """Cluster-wide counters the experiment reports cite."""
-        out: Dict[str, float] = {}
-        self._fabric_snapshot(out)
         out["msgs_sent"] = sum(
             m.stats.counter("msgs_sent").value for m in self.machines
         )

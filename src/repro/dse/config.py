@@ -83,25 +83,6 @@ class ClusterConfig:
     #: into.  Requires the home coherence policy (snapshots copy home
     #: slices, like resilience checkpoints).
     replay: Any = None
-    #: sharded parallel-in-time execution (see repro.shard /
-    #: docs/sharding.md): 0 = the classic single event loop; N >= 1
-    #: partitions the machines across N concurrently advancing loops under
-    #: conservative (lookahead-windowed) synchronisation.  ``--shards N``
-    #: produces byte-identical results for every N.  Requires the switched
-    #: fabric (the shared bus has zero lookahead — every station preempts
-    #: every other within one bit time) and is incompatible with the
-    #: observation/sanitizer/resilience/replay layers, which assume one
-    #: global event stream.
-    shards: int = 0
-    #: sharded execution backend: ``"inline"`` drives every shard in one OS
-    #: process (the determinism reference, zero parallelism), ``"process"``
-    #: runs one OS worker process per shard (the speedup path; identical
-    #: simulated results by construction)
-    shard_workers: str = "inline"
-    #: explicit machine -> shard assignment (length ``machines_used``,
-    #: values ``0..shards-1``); ``None`` lets the topology-aware
-    #: partitioner choose contiguous balanced blocks
-    shard_map: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n_processors < 1:
@@ -168,51 +149,6 @@ class ClusterConfig:
                     f"(configured: {self.coherence!r})"
                 )
             self.replay.validate()
-        if isinstance(self.shard_map, list):
-            object.__setattr__(self, "shard_map", tuple(self.shard_map))
-        if self.shards < 0:
-            raise ConfigurationError("shards cannot be negative")
-        if self.shard_workers not in ("inline", "process"):
-            raise ConfigurationError(
-                f"unknown shard_workers {self.shard_workers!r}; "
-                "expected 'inline' or 'process'"
-            )
-        if self.shard_map is not None and not self.shards:
-            raise ConfigurationError("shard_map requires shards >= 1")
-        if self.shards:
-            if self.shards > self.machines_used:
-                raise ConfigurationError(
-                    f"cannot split {self.machines_used} machine(s) into "
-                    f"{self.shards} shards"
-                )
-            if self.fabric.kind != "switch":
-                # The shared bus has zero lookahead: any station's send can
-                # collide with any other within one bit time, so no shard
-                # could ever run ahead.  The switched LAN's per-port model
-                # gives one minimum-frame serialisation time of lookahead.
-                raise ConfigurationError(
-                    "sharded execution requires the switched fabric "
-                    f"(configured: {self.fabric.kind!r})"
-                )
-            for feature, on in (
-                ("trace", self.trace),
-                ("obs_trace", self.obs_trace),
-                ("obs_metrics_interval", self.obs_metrics_interval > 0),
-                ("sanitize", bool(self.sanitize_modes)),
-                ("resilience", self.resilience is not None),
-                ("replay", self.replay is not None),
-            ):
-                if on:
-                    raise ConfigurationError(
-                        f"sharded execution is incompatible with {feature} "
-                        "(these layers assume one global event stream)"
-                    )
-            if self.shard_map is not None:
-                if len(self.shard_map) != self.machines_used:
-                    raise ConfigurationError(
-                        f"shard_map has {len(self.shard_map)} entries for "
-                        f"{self.machines_used} machines"
-                    )
 
     @property
     def sanitize_modes(self) -> frozenset:

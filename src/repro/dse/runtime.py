@@ -70,12 +70,7 @@ class LaunchedRun:
         unwrap_spmd: bool = False,
     ):
         self.config = config
-        if config.shards:
-            from ..shard.cluster import ShardedCluster
-
-            self.cluster = ShardedCluster(config, start_time=start_time)
-        else:
-            self.cluster = Cluster(config, start_time=start_time)
+        self.cluster = Cluster(config, start_time=start_time)
         self._unwrap_spmd = unwrap_spmd
         self._outcome: Dict[str, Any] = {}
         rec = self.cluster.replay
@@ -97,10 +92,7 @@ class LaunchedRun:
                 rec.note("run.done", {"elapsed": outcome["elapsed"]})
             yield from cluster.shutdown_from(0)
 
-        # Kernel 0's event loop (== ``cluster.sim`` unless sharded: the
-        # contiguous partition always places machine 0 on shard 0, but the
-        # hook keeps the invariant explicit).
-        cluster.master_sim().process(driver(), name="dse-master")
+        cluster.sim.process(driver(), name="dse-master")
 
     # -- state ---------------------------------------------------------------
     @property
@@ -118,21 +110,11 @@ class LaunchedRun:
 
         Events stamped exactly ``until`` are processed, so the state seen
         afterwards is "after everything at or before ``until``"."""
-        if self.cluster.is_sharded:
-            raise DSEError(
-                "incremental driving (run_to/step) is not available under "
-                "sharded execution — only whole-run finish()"
-            )
         self.cluster.sim.run(until=until)
         return self.cluster.sim.now
 
     def step(self, n: int = 1) -> int:
         """Process up to ``n`` events; returns how many actually ran."""
-        if self.cluster.is_sharded:
-            raise DSEError(
-                "incremental driving (run_to/step) is not available under "
-                "sharded execution — only whole-run finish()"
-            )
         sim = self.cluster.sim
         done = 0
         for _ in range(n):
@@ -146,7 +128,7 @@ class LaunchedRun:
     def finish(self) -> RunResult:
         """Drain the remaining events and build the run's result."""
         cluster = self.cluster
-        cluster.run_all()
+        cluster.sim.run_all()
         # End-of-run sanitizer analyses (stuck barriers, stalled lock
         # waiters) run on success AND on drain — a hung run is exactly when
         # they matter.
@@ -167,7 +149,7 @@ class LaunchedRun:
             elapsed=self._outcome["elapsed"],
             returns=returns,
             stats=cluster.stats_snapshot(),
-            sim_events=cluster.total_events(),
+            sim_events=cluster.sim.events_processed,
             config=self.config,
             cluster=cluster,
         )
@@ -227,14 +209,6 @@ def run_master(
     args: tuple = (),
 ) -> RunResult:
     """Run ``master(api, *args)`` as the parallel application on kernel 0."""
-    if config.shards and config.shard_workers == "process":
-        # Master callables are routinely closures over live state (the
-        # traffic backend, the experiment harness) and cannot be shipped to
-        # worker processes.  SPMD entry points (run_parallel) can.
-        raise DSEError(
-            "shard_workers='process' supports SPMD entry points only "
-            "(run_parallel); use shard_workers='inline' for master-driven runs"
-        )
     return launch_master(config, master, args).finish()
 
 
@@ -249,8 +223,4 @@ def run_parallel(
     ``args_of(rank)`` overrides ``args`` per rank when given.  Returns the
     per-rank return values and cluster statistics.
     """
-    if config.shards and config.shard_workers == "process":
-        from ..shard.procpool import run_parallel_process
-
-        return run_parallel_process(config, worker, args, args_of)
     return launch_parallel(config, worker, args, args_of).finish()

@@ -70,26 +70,11 @@ def canonical_params(params: Any) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def cache_key(
-    namespace: str,
-    params: Any,
-    fingerprint: Optional[str] = None,
-    shards: Any = None,
-) -> str:
-    """Content address of one task: namespace + params + code fingerprint.
-
-    ``shards`` is the execution-sharding identity (count, backend, shard
-    map — see :mod:`repro.shard`) and is folded into the key separately
-    from the task parameters: sharded and single-process runs of the same
-    point must never collide in the cache, even for callers whose params
-    don't mention sharding.  ``None`` is the unsharded legacy identity.
-    """
+def cache_key(namespace: str, params: Any, fingerprint: Optional[str] = None) -> str:
+    """Content address of one task: namespace + params + code fingerprint."""
     if fingerprint is None:
         fingerprint = code_fingerprint()
-    payload = (
-        f"{namespace}\0{canonical_params(params)}\0{fingerprint}"
-        f"\0shards={canonical_params(shards)}"
-    )
+    payload = f"{namespace}\0{canonical_params(params)}\0{fingerprint}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -135,7 +120,6 @@ def run_tasks(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     namespace: str = "task",
-    shards: Any = None,
 ) -> List[Any]:
     """Run ``func`` over ``params``, fanning uncached points across a pool.
 
@@ -143,15 +127,14 @@ def run_tasks(
     (``Pool.map`` preserves input order), so merged output is independent
     of scheduling.  ``func`` must be a module-level callable (fork pickles
     it by reference) and, when caching, must return JSON-serialisable
-    values.  ``jobs <= 1`` runs everything in-process.  ``shards`` is the
-    sweep's execution-sharding identity, passed to :func:`cache_key`.
+    values.  ``jobs <= 1`` runs everything in-process.
     """
     results: List[Any] = [None] * len(params)
     pending: List[int] = []
     fingerprint = code_fingerprint() if cache is not None else None
     for i, p in enumerate(params):
         if cache is not None:
-            hit = cache.get(cache_key(namespace, p, fingerprint, shards=shards))
+            hit = cache.get(cache_key(namespace, p, fingerprint))
             if hit is not None:
                 results[i] = hit["value"]
                 continue
@@ -167,8 +150,5 @@ def run_tasks(
         for i, value in zip(pending, fresh):
             results[i] = value
             if cache is not None:
-                cache.put(
-                    cache_key(namespace, params[i], fingerprint, shards=shards),
-                    {"value": value},
-                )
+                cache.put(cache_key(namespace, params[i], fingerprint), {"value": value})
     return results

@@ -109,8 +109,8 @@ def profile_result(result: RunResult) -> RunProfile:
         )
     profile = RunProfile(
         elapsed=result.elapsed,
-        events_processed=cluster.total_events(),
-        events_cancelled=cluster.total_cancelled(),
+        events_processed=cluster.sim.events_processed,
+        events_cancelled=cluster.sim.events_cancelled,
     )
     for kernel in cluster.kernels:
         ex, gm = kernel.exchange.stats, kernel.gmem.stats

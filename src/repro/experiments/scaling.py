@@ -133,16 +133,11 @@ def measure_scale_point(
     machines: Optional[int] = None,
     platform: str = "linux",
     size: Optional[int] = None,
-    shards: int = 0,
-    shard_workers: str = "inline",
 ) -> ScalePoint:
     """Run one workload at ``nodes`` processors and collect the metrics.
 
     ``machines`` defaults to ``nodes`` — a real large cluster, one kernel
     per machine; pass fewer to study virtual-cluster doubling at scale.
-    ``shards``/``shard_workers`` select sharded parallel-in-time execution
-    (simulated results are byte-identical for every shard count; only
-    ``wall_seconds`` changes — see docs/sharding.md).
     """
     worker = _resolve_worker(workload)
     args_of = SCALE_WORKLOADS[workload][2]
@@ -153,8 +148,6 @@ def measure_scale_point(
         n_machines=nodes if machines is None else machines,
         fabric=FabricConfig(kind=fabric),
         gmem_batching=batching,
-        shards=shards,
-        shard_workers=shard_workers,
     )
     start = time.perf_counter()
     result = run_parallel(config, worker, args=args)
@@ -167,7 +160,7 @@ def measure_scale_point(
         batching=batching,
         elapsed=elapsed,
         msgs=int(result.stats["msgs_sent"]),
-        events=result.sim_events,
+        events=result.cluster.sim.events_processed,
         wall_seconds=wall,
         stats=result.stats,
     )
@@ -189,37 +182,23 @@ def scale_sweep(
     size: Optional[int] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    shards: int = 0,
-    shard_workers: str = "inline",
 ) -> List[ScalePoint]:
     """Measure a node grid and fill in speed-ups against one processor.
 
     ``jobs > 1`` fans the baseline and every grid point across a process
     pool; ``cache`` reuses prior identical runs.  Speed-ups are computed
     from the merged results, so output is independent of scheduling.
-    ``shards`` runs every grid point under sharded execution (the
-    one-processor baseline clamps to a single shard).
     """
-    shard_common = {"shards": shards, "shard_workers": shard_workers}
     tasks = [
         {"workload": workload, "nodes": 1, "fabric": fabric, "batching": batching,
-         "machines": 1, "platform": platform, "size": size,
-         "shards": min(shards, 1), "shard_workers": shard_workers}
+         "machines": 1, "platform": platform, "size": size}
     ]
     for n in nodes:
         tasks.append(
             {"workload": workload, "nodes": n, "fabric": fabric, "batching": batching,
-             "machines": machines, "platform": platform, "size": size,
-             **shard_common}
+             "machines": machines, "platform": platform, "size": size}
         )
-    raw = run_tasks(
-        _scale_task,
-        tasks,
-        jobs=jobs,
-        cache=cache,
-        namespace="scale",
-        shards=shard_common if shards else None,
-    )
+    raw = run_tasks(_scale_task, tasks, jobs=jobs, cache=cache, namespace="scale")
     baseline, *rest = [ScalePoint.from_dict(r) for r in raw]
     for point in rest:
         point.speedup = baseline.elapsed / point.elapsed if point.elapsed else None
@@ -345,17 +324,6 @@ def scale_main(argv: List[str]) -> int:
         help="worker processes for independent sweep points (default: 1)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0,
-        help="shard each point's event loop N ways (0 = classic single "
-             "loop; results are byte-identical for every N, see "
-             "docs/sharding.md)",
-    )
-    parser.add_argument(
-        "--shard-workers", choices=("inline", "process"), default="process",
-        help="sharded backend: one OS process per shard (process, default) "
-             "or everything in-process (inline, the determinism reference)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="recompute every point, bypassing the on-disk result cache",
     )
@@ -376,8 +344,6 @@ def scale_main(argv: List[str]) -> int:
         size=args.size,
         jobs=args.jobs,
         cache=cache,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
     )
     print(scale_table(points, title=f"{args.workload} scaling ({args.platform})").render())
     if cache is not None:

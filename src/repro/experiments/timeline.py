@@ -56,9 +56,12 @@ def render_timeline(
 
 def message_census(tracer: Tracer) -> str:
     """Message counts and bytes by type (sends only, to avoid double count)."""
+    sends = tracer.filter(kind="send")
+    if not sends:
+        return _EMPTY_TRACE
     counts: Dict[str, int] = defaultdict(int)
     nbytes: Dict[str, int] = defaultdict(int)
-    for record in tracer.filter(kind="send"):
+    for record in sends:
         msg_type, _dst, size = record.detail
         counts[msg_type] += 1
         nbytes[msg_type] += size

@@ -15,7 +15,6 @@ See ``docs/performance.md`` for how these guided the engine fast paths and
 """
 
 from .benches import BENCHES, MICRO_BENCHES, run_bench, time_bench
-from .clusterbench import CLUSTER_BENCHES, CLUSTER_SCENARIOS, run_cluster_bench
 from .engine import EngineProfile, EngineProfiler, SiteStats
 from .netbench import (
     CANONICAL,
@@ -29,10 +28,7 @@ from .netbench import (
 
 __all__ = [
     "BENCHES",
-    "CLUSTER_BENCHES",
-    "CLUSTER_SCENARIOS",
     "MICRO_BENCHES",
-    "run_cluster_bench",
     "run_bench",
     "time_bench",
     "EngineProfile",

@@ -611,61 +611,3 @@ class Simulator:
     def run_all(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is completely drained."""
         self.run(until=None, max_events=max_events)
-
-    def run_window(self, horizon: float) -> int:
-        """Process every event *strictly before* ``horizon``; return the count.
-
-        This is the conservative parallel loop's primitive (:mod:`repro.shard`):
-        each shard's simulator is advanced window by window, and the window is
-        half-open — an event stamped exactly ``horizon`` is *not* processed,
-        because a frame from another shard may still be merged at that very
-        timestamp (the horizon is ``window start + lookahead``, and cross-shard
-        effects land exactly at the lookahead bound in the worst case).
-
-        Unlike :meth:`run`, the clock is left at the last processed event
-        rather than advanced to the deadline: the windowed driver owns the
-        global clock, and events merged later must not appear to be in the
-        past.  Exceptions propagate exactly as in :meth:`run`.
-        """
-        queue = self._queue
-        pop = heappop
-        before = self.events_processed
-        while queue:
-            entry = queue[0]
-            if entry[3] is None:
-                self._drop_cancelled_head()
-                continue
-            when = entry[0]
-            if when >= horizon:
-                break
-            pop(queue)
-            event = entry[3]
-            self.now = when
-            event._entry = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            self.events_processed += 1
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            elif callbacks:
-                for callback in callbacks:
-                    callback(event)
-            elif not event._ok and isinstance(event._value, BaseException):
-                raise event._value
-        return self.events_processed - before
-
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward to ``when`` without processing anything.
-
-        Only legal when no pending event is stamped earlier than ``when`` —
-        the shard engine uses it to align every shard's final clock to the
-        globally last event time before statistics are read (time-weighted
-        monitors otherwise disagree across shard counts).
-        """
-        if when < self.now:
-            raise ValueError(f"cannot move the clock backwards ({when} < {self.now})")
-        if self.peek() < when:
-            raise RuntimeError(
-                f"advance_to({when}) would skip a pending event at {self.peek()}"
-            )
-        self.now = when

@@ -242,7 +242,6 @@ def _cluster_main(args) -> int:
         p_exit_bad=args.p_exit,
         payload_words=args.payload,
         seed=args.seed,
-        shards=args.shards,
     )
     table = Table(
         ["transport", "requests", "mean", "p50", "p99", "goodput/s", "elapsed"],
@@ -305,9 +304,6 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                         help="cluster mode: mean request CPU seconds")
     parser.add_argument("--placement", default="rr",
                         choices=("rr", "least-loaded"))
-    parser.add_argument("--shards", type=int, default=0,
-                        help="cluster mode: shard the event loop N ways "
-                             "(switched fabric; byte-identical for every N)")
     parser.add_argument("--payload", type=int, default=0,
                         help="cluster mode: global-memory words each request "
                              "reads + writes back (bulk-data lane under dual)")

@@ -87,7 +87,6 @@ def run_cluster_traffic(
     p_exit_bad: float = 0.25,
     payload_words: int = 0,
     seed: int = 1999,
-    shards: int = 0,
 ) -> Dict[str, float]:
     """One open-loop request stream through the real cluster stack.
 
@@ -100,22 +99,10 @@ def run_cluster_traffic(
     With ``payload_words > 0`` every request also moves that much global
     memory (read on entry, write-back on exit) — the bulk-data class a
     ``dual`` transport carries on its unreliable lane.
-
-    ``shards > 0`` runs the cluster under sharded parallel-in-time
-    execution (:mod:`repro.shard`); this selects the switched fabric
-    (sharding's lookahead comes from its per-port model) and is
-    incompatible with burst loss — the injector draws from one shared
-    RNG on one shard's loop, which would break shard-count invariance.
-    The master here is a closure, so sharded traffic always runs on the
-    inline backend.
     """
     if placement not in ("rr", "least-loaded"):
         raise ConfigurationError(
             f"placement must be 'rr' or 'least-loaded', got {placement!r}"
-        )
-    if shards and p_enter_bad > 0.0:
-        raise ConfigurationError(
-            "burst loss injection is not supported under sharded execution"
         )
     arrival_model = make_arrivals(arrivals, arrival_rate)
     service_model = make_service(service, mean_service)
@@ -149,18 +136,12 @@ def run_cluster_traffic(
         outcome["done_at"] = api.now
         return len(finished)
 
-    config_kwargs: Dict[str, Any] = dict(
+    config = ClusterConfig(
         n_processors=n_kernels,
         n_machines=n_kernels,
         transport=transport,
         seed=seed,
     )
-    if shards:
-        from ..network.topology import FabricConfig
-
-        config_kwargs["fabric"] = FabricConfig(kind="switch")
-        config_kwargs["shards"] = shards
-    config = ClusterConfig(**config_kwargs)
     run = launch_master(config, master)
     if p_enter_bad > 0.0:
         burst = BurstLossConfig(p_enter_bad=p_enter_bad, p_exit_bad=p_exit_bad)

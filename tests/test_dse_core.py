@@ -11,6 +11,7 @@ from repro.errors import (
     GlobalMemoryError,
 )
 from repro.hardware import get_platform
+from repro.network import FabricConfig
 
 
 def cfg(**kw):
@@ -372,7 +373,11 @@ def test_platform_order_preserved_in_elapsed():
 
 
 # --------------------------------------------------------------- determinism
-def test_runs_are_deterministic():
+@pytest.mark.parametrize(
+    "fabric", [FabricConfig(kind="ethernet"), FabricConfig(kind="switch")],
+    ids=["ethernet", "switch"],
+)
+def test_runs_are_deterministic(fabric):
     def worker(api):
         yield from api.lock("L")
         v = yield from api.gm_read_scalar(0)
@@ -381,8 +386,8 @@ def test_runs_are_deterministic():
         yield from api.barrier("end")
         return api.now
 
-    r1 = run_parallel(cfg(n_processors=5), worker)
-    r2 = run_parallel(cfg(n_processors=5), worker)
+    r1 = run_parallel(cfg(n_processors=5, fabric=fabric), worker)
+    r2 = run_parallel(cfg(n_processors=5, fabric=fabric), worker)
     assert r1.elapsed == r2.elapsed
     assert r1.returns == r2.returns
     assert r1.sim_events == r2.sim_events

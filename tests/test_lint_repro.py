@@ -222,11 +222,10 @@ def test_process_isolation_flags_mp_imports_and_pid_reads(tmp_path):
 
 def test_process_isolation_exempts_the_sanctioned_layers(tmp_path):
     source = "import multiprocessing\nimport os\npid = os.getpid()\n"
-    for rel in ("repro/shard/procpool.py", "repro/experiments/parallel.py"):
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-        assert lint_repro.lint_file(path, tmp_path) == []
+    path = tmp_path / "repro" / "experiments" / "parallel.py"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    assert lint_repro.lint_file(path, tmp_path) == []
     # ...but a sibling experiments module gets no exemption.
     other = tmp_path / "repro" / "experiments" / "scaling.py"
     other.write_text(source)

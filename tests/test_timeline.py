@@ -61,6 +61,7 @@ def test_render_timeline_empty_trace_friendly():
     text = render_timeline(Tracer(enabled=True))
     assert text == "no events captured (was trace=True set?)"
     assert event_log(Tracer(enabled=True)) == text
+    assert message_census(Tracer(enabled=True)) == text
 
 
 def test_tracer_counts_drops_and_header_reports_them():

@@ -5,12 +5,6 @@ Three suites, selected with ``--suite``:
 
 * ``engine`` (default) — wall-clock measurements of the canonical engine
   scenarios (:mod:`repro.perf.benches`), committed in ``BENCH_engine.json``.
-  With ``--cluster-scale`` it also runs the sharded-vs-single cluster
-  scenarios (:mod:`repro.perf.clusterbench`): simulated results must be
-  byte-identical between ``--shards 1`` and sharded execution, and the
-  largest scale scenario must show ``--require-shard-speedup`` (default
-  2x) wall-clock speed-up whenever the host has at least as many cores
-  as shards (loud SKIP otherwise).
 * ``transport`` — the transport x burst-loss goodput matrix
   (:mod:`repro.perf.netbench`), committed in ``BENCH_transport.json``.
   Every field is *simulated* and therefore machine-independent: CI
@@ -60,7 +54,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.perf.benches import BENCHES, MICRO_BENCHES, time_bench  # noqa: E402
-from repro.perf.clusterbench import CLUSTER_SCENARIOS, run_cluster_bench  # noqa: E402
 from repro.perf.netbench import matrix_ratios, run_matrix  # noqa: E402
 
 DEFAULT_BASELINE = REPO / "BENCH_engine.json"
@@ -70,10 +63,8 @@ TRAFFIC_BASELINE = REPO / "BENCH_traffic.json"
 #: the canonical gate points for --suite transport (loss point 0.02)
 _GATE_KEYS = ("sr@0.02", "dual@0.02")
 
-#: deterministic outcome fields compared exactly between runs; the
-#: cluster-scale scenarios add msgs + the sharded-vs-single identity bit
-#: (absent fields compare as None == None for the micro benches)
-_EXACT_FIELDS = ("sim_now", "events", "cancelled", "msgs", "identical")
+#: deterministic outcome fields compared exactly between runs
+_EXACT_FIELDS = ("sim_now", "events", "cancelled")
 
 
 def measure(repeats: int) -> dict:
@@ -86,63 +77,6 @@ def measure(repeats: int) -> dict:
         print(f"  {name:>16}: {wall * 1000:8.2f} ms  "
               f"(events={outcome['events']}, cancelled={outcome['cancelled']})")
     return results
-
-
-def measure_cluster(smoke: bool) -> dict:
-    """Run the sharded-vs-single cluster scenarios (see repro.perf.clusterbench).
-
-    Smoke mode skips the 256-node point (the full run takes minutes);
-    every scenario still runs both executions and checks byte-identity.
-    """
-    results = {}
-    for name in CLUSTER_SCENARIOS:
-        if smoke and name == "cluster_scale_256":
-            print(f"  {name:>16}: skipped (--smoke)")
-            continue
-        outcome = run_cluster_bench(name)
-        results[name] = outcome
-        ident = "identical" if outcome["identical"] else "DIVERGED"
-        print(f"  {name:>16}: single {outcome['wall_single'] * 1000:8.0f} ms, "
-              f"sharded({outcome['shards']}) {outcome['wall'] * 1000:8.0f} ms "
-              f"-> {outcome['speedup']:.2f}x on {outcome['cpus']} cpu(s), "
-              f"results {ident}")
-    return results
-
-
-def shard_speedup_gate(fresh: dict, require: float) -> int:
-    """Gate sharded-vs-single speed-up at the largest scale scenario.
-
-    The determinism bit is gated unconditionally for every cluster
-    scenario.  The wall-clock bar only applies when the host has at least
-    as many cores as shards — on fewer cores the process backend cannot
-    beat serial execution and the gate SKIPs loudly instead of measuring
-    the CI box rather than the engine.
-    """
-    failures = 0
-    cluster = {n: r for n, r in fresh.items() if "identical" in r}
-    if not cluster:
-        return 0
-    print("\nsharded execution gates:")
-    for name, outcome in cluster.items():
-        ok = bool(outcome["identical"])
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}: sharded results "
-              f"byte-identical to single-loop")
-        failures += 0 if ok else 1
-    scales = {n: r for n, r in cluster.items() if r.get("kind") == "scale"}
-    if scales:
-        name, largest = max(scales.items(), key=lambda kv: kv[1]["nodes"])
-        cpus, shards = largest["cpus"], largest["shards"]
-        if cpus < shards:
-            print(f"  [SKIP] {name}: >= {require:g}x wall-clock speed-up "
-                  f"(host has {cpus} cpu(s) for {shards} shards — "
-                  f"nothing to parallelise on; measured {largest['speedup']:.2f}x)")
-        else:
-            ok = largest["speedup"] >= require
-            print(f"  [{'PASS' if ok else 'FAIL'}] {name}: "
-                  f"{largest['speedup']:.2f}x sharded-vs-single wall-clock "
-                  f"(require >= {require:g}x on {cpus} cpu(s))")
-            failures += 0 if ok else 1
-    return failures
 
 
 def measure_transport() -> dict:
@@ -286,16 +220,8 @@ def _engine_suite(args) -> int:
     repeats = 2 if args.smoke else args.repeats
     print(f"measuring engine benches (best of {repeats}):")
     fresh = measure(repeats)
-    if args.cluster_scale:
-        print("measuring cluster-scale sharded-vs-single scenarios:")
-        fresh.update(measure_cluster(args.smoke))
 
     if args.record:
-        gate_failures = shard_speedup_gate(fresh, args.require_shard_speedup)
-        if gate_failures:
-            print(f"\nrefusing to record a baseline that fails "
-                  f"{gate_failures} sharding gate(s)", file=sys.stderr)
-            return 1
         trajectory.append({
             "label": args.label,
             "python": platform.python_version(),
@@ -311,9 +237,7 @@ def _engine_suite(args) -> int:
         print(f"no baseline at {args.baseline}; run with --record first",
               file=sys.stderr)
         return 2
-    failures = compare(fresh, trajectory[-1], args.tolerance)
-    failures += shard_speedup_gate(fresh, args.require_shard_speedup)
-    return 1 if failures else 0
+    return compare(fresh, trajectory[-1], args.tolerance)
 
 
 def _traffic_suite(args) -> int:
@@ -412,14 +336,6 @@ def main(argv=None) -> int:
                         help="print the committed trajectory and speed-ups")
     parser.add_argument("--require-speedup", type=float, default=None,
                         help="with --trajectory: gate micro-bench first->last speed-up")
-    parser.add_argument("--cluster-scale", action="store_true",
-                        help="engine suite: also run the sharded-vs-single "
-                             "cluster scenarios (repro.perf.clusterbench) and "
-                             "gate determinism + speed-up")
-    parser.add_argument("--require-shard-speedup", type=float, default=2.0,
-                        help="with --cluster-scale: minimum sharded-vs-single "
-                             "wall-clock ratio at the largest scale scenario "
-                             "(skipped when cores < shards; default 2.0)")
     parser.add_argument("--require-ratio", type=float, default=10.0,
                         help="transport suite: minimum SR-vs-stop-and-wait "
                              "goodput ratio at the canonical loss point")

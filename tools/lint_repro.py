@@ -37,9 +37,9 @@ Rules (all reported as ``path:line: [rule] message``):
   *runs* inside one host process, breaking run-to-run purity even with
   identical configs.  Default to ``None`` and construct inside.
 * **process-isolation** — ``multiprocessing`` imports and
-  ``os.getpid()`` / ``os.fork()`` are confined to the two sanctioned
-  host-parallelism layers (``repro/shard`` and
-  ``repro/experiments/parallel.py``).  Anywhere else, host process
+  ``os.getpid()`` / ``os.fork()`` are confined to the one sanctioned
+  host-parallelism layer, the multicore sweep runner
+  (``repro/experiments/parallel.py``).  Anywhere else, host process
   identity or topology leaking into model code is a determinism hazard:
   results would depend on how the run was executed, not on the config.
 
@@ -91,9 +91,9 @@ _WALL_CLOCK_STRICT = {"perf_counter", "perf_counter_ns", "process_time",
 #: path fragments whose files get the strict clock rules
 _STRICT_CLOCK_PATHS = ("repro/replay",)
 
-#: the only places allowed to touch host process machinery: the sharded
-#: execution backend and the multicore sweep runner
-_MP_ALLOWED_PATHS = ("repro/shard/", "repro/experiments/parallel.py")
+#: the only place allowed to touch host process machinery: the multicore
+#: sweep runner
+_MP_ALLOWED_PATHS = ("repro/experiments/parallel.py",)
 #: os-module calls that expose host process identity/topology
 _PROCESS_OS_CALLS = {"getpid", "getppid", "fork", "forkpty"}
 
@@ -266,8 +266,8 @@ class _Linter(ast.NodeVisitor):
         if chain.startswith("os.") and chain[len("os."):] in _PROCESS_OS_CALLS:
             self._report(
                 node, "process-isolation",
-                f"{chain}() exposes host process identity; only repro/shard "
-                "and repro/experiments/parallel.py may touch process "
+                f"{chain}() exposes host process identity; only "
+                "repro/experiments/parallel.py may touch process "
                 "machinery — results must depend on the config, not on how "
                 "the run was executed",
             )
@@ -278,9 +278,9 @@ class _Linter(ast.NodeVisitor):
         if module == "multiprocessing" or module.startswith("multiprocessing."):
             self._report(
                 node, "process-isolation",
-                "multiprocessing is confined to repro/shard and "
+                "multiprocessing is confined to "
                 "repro/experiments/parallel.py (the sanctioned "
-                "host-parallelism layers); model code must stay "
+                "host-parallelism layer); model code must stay "
                 "single-process deterministic",
             )
 
