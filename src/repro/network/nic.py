@@ -13,7 +13,7 @@ from typing import Any, Callable, Generator, Optional
 from ..errors import NetworkError
 from ..obs.spans import NET_TID, NULL_RECORDER
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from ..sim.resources import Store
 from .frame import EthernetFrame
 
@@ -22,6 +22,11 @@ __all__ = ["NIC"]
 
 class NIC:
     """One station's network interface."""
+
+    _c_tx_enqueued = LazyStat("tx_enqueued")
+    _c_tx_done = LazyStat("tx_done")
+    _c_rx_frames = LazyStat("rx_frames")
+    _c_rx_bytes = LazyStat("rx_bytes")
 
     def __init__(
         self,
@@ -59,7 +64,7 @@ class NIC:
             raise NetworkError(
                 f"{self.name}: frame source {frame.src} != station {self.station_id}"
             )
-        self.stats.counter("tx_enqueued").increment()
+        self._c_tx_enqueued.increment()
         return self.tx_queue.put(frame)
 
     def _tx_driver(self) -> Generator[Event, Any, None]:
@@ -79,7 +84,7 @@ class NIC:
             for attempt in range(self.driver_retries + 1):
                 status = yield from self.fabric.send(frame)
                 if status == "ok":
-                    self.stats.counter("tx_done").increment()
+                    self._c_tx_done.increment()
                     if attempt:
                         self.stats.counter("tx_driver_retries").increment(attempt)
                     break
@@ -97,8 +102,8 @@ class NIC:
         if not self.up:
             self.stats.counter("rx_dropped_down").increment()
             return
-        self.stats.counter("rx_frames").increment()
-        self.stats.counter("rx_bytes").increment(frame.payload_bytes)
+        self._c_rx_frames.increment()
+        self._c_rx_bytes.increment(frame.payload_bytes)
         if self._rx_callback is not None:
             self._rx_callback(frame)
         else:

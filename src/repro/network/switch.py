@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..errors import NetworkError
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from ..util.units import US, bits
 from .frame import BROADCAST, ETH_HEADER_BYTES, ETH_PREAMBLE_BYTES, EthernetFrame
 
@@ -41,6 +41,10 @@ class SwitchedLAN:
     Exposes the same ``attach``/``send`` interface as ``EthernetBus`` so the
     fabric is pluggable in cluster construction.
     """
+
+    _c_frames_sent = LazyStat("frames_sent")
+    _c_bytes_sent = LazyStat("bytes_sent")
+    _c_frames_delivered = LazyStat("frames_delivered")
 
     def __init__(
         self,
@@ -141,8 +145,8 @@ class SwitchedLAN:
         done = start + tx
         self._up_free[frame.src] = done
         yield sim.timeout(done - now)
-        self.stats.counter("frames_sent").increment()
-        self.stats.counter("bytes_sent").increment(frame.wire_bytes)
+        self._c_frames_sent.increment()
+        self._c_bytes_sent.increment(frame.wire_bytes)
         # When can the switch begin driving an output port?
         if self.cut_through:
             ready = start + self.header_time + self.forward_latency
@@ -171,7 +175,7 @@ class SwitchedLAN:
             # Partition appeared while the frame was queued in the switch.
             self.stats.counter("partition_drops").increment()
             return
-        self.stats.counter("frames_delivered").increment()
+        self._c_frames_delivered.increment()
         self._stations[target](frame)
 
     def collision_rate(self) -> float:

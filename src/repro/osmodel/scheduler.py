@@ -22,6 +22,19 @@ the minimum job stays minimal and its new remaining equals the cached
 ``_shortest - progressed`` exactly (both clamp at 0.0 the same way);
 arrivals take ``min(_shortest, demand)``; only departures — rare timer
 fires — rescan the survivors.  See ``docs/performance.md``.
+
+Most bursts run alone on an idle CPU (one DSE kernel per machine), so the
+run-queue length picks a *solo-burst path*: an arrival on an idle CPU
+records the job and arms its timer directly, and a timer that finds one
+job due finishes it without ``_advance``, the rescan or ``_reschedule``.
+It is bit-identical to the general path, which it only shortcuts: with one
+job the rate is exactly 1.0, so the delay ``x / 1.0 == x`` and the progress
+``dt * 1.0 == dt``; the one job's remaining *is* ``_shortest`` and is
+clamped at 0.0 the same way; the run-queue and busy integrals get the same
+``set`` calls at the same times; and no event or heap sequence number is
+added or removed — the completion event stays separate from the timer.
+A second arrival finds the solo job in ``_jobs`` and takes the general
+path unchanged.
 """
 
 from __future__ import annotations
@@ -29,11 +42,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet, TimeWeighted
+from ..sim.monitor import LazyStat, StatSet, TimeWeighted
 
 __all__ = ["ProcessorSharingCPU"]
 
 _EPS = 1e-12
+_INF = float("inf")
 
 
 class _Job:
@@ -47,6 +61,10 @@ class _Job:
 
 class ProcessorSharingCPU:
     """One machine's CPU, shared by all its UNIX processes."""
+
+    _c_bursts = LazyStat("bursts")
+    _c_completed = LazyStat("completed")
+    _t_demand = LazyStat("demand", kind="tally")
 
     def __init__(
         self,
@@ -63,6 +81,9 @@ class ProcessorSharingCPU:
         self.context_switch = context_switch
         self.timeslice = timeslice
         self.name = name
+        #: per-job slowdown while time-sharing (see rate()), computed once
+        self._tax = 1.0 + context_switch / timeslice
+        self._burst_name = f"{name}.burst"
         self._jobs: Dict[int, _Job] = {}
         self._next_job_id = 0
         self._last = sim.now
@@ -70,7 +91,7 @@ class ProcessorSharingCPU:
         self._timer: Optional[Event] = None
         #: cached min(job.remaining) — bit-identical to a full rescan (see
         #: module docstring); inf when idle
-        self._shortest = float("inf")
+        self._shortest = _INF
         #: the one bound completion callback (no per-reschedule lambda)
         self._on_timer_cb = self._on_timer
         self.stats = StatSet(name)
@@ -94,23 +115,37 @@ class ProcessorSharingCPU:
             return 0.0
         if n == 1:
             return 1.0
-        tax = 1.0 + self.context_switch / self.timeslice
-        return 1.0 / (n * tax)
+        return 1.0 / (n * self._tax)
 
     def execute(self, demand_seconds: float) -> Event:
         """Submit a compute burst; the returned event triggers on completion."""
         if demand_seconds < 0:
             raise ValueError(f"negative compute demand: {demand_seconds}")
-        event = self.sim.event(name=f"{self.name}.burst")
-        self.stats.counter("bursts").increment()
-        self.stats.tally("demand").observe(demand_seconds)
+        sim = self.sim
+        event = Event(sim, self._burst_name)
+        self._c_bursts.increment()
+        self._t_demand.observe(demand_seconds)
         if demand_seconds == 0:
             event.succeed()
             return event
-        self._advance()
+        jobs = self._jobs
         job_id = self._next_job_id
-        self._next_job_id += 1
-        self._jobs[job_id] = _Job(event, demand_seconds)
+        self._next_job_id = job_id + 1
+        if not jobs:
+            # Solo burst (an idle CPU holds no timer): the general path
+            # below, with rate(1) == 1.0 and _shortest == inf.
+            now = sim.now
+            self._last = now
+            jobs[job_id] = _Job(event, demand_seconds)
+            self._shortest = demand_seconds
+            self.run_queue.set(1, now)
+            self.busy.set(1.0, now)
+            self._epoch = epoch = self._epoch + 1
+            timer = self._timer = sim.timeout(demand_seconds, value=epoch)
+            timer.callbacks.append(self._on_timer_cb)
+            return event
+        self._advance()
+        jobs[job_id] = _Job(event, demand_seconds)
         if demand_seconds < self._shortest:
             self._shortest = demand_seconds
         self._note_queue()
@@ -151,7 +186,7 @@ class ProcessorSharingCPU:
             self._timer.cancel()
             self._timer = None
         if not self._jobs:
-            self._shortest = float("inf")
+            self._shortest = _INF
             return
         r = self.rate(len(self._jobs))
         delay = self._shortest / r
@@ -165,19 +200,30 @@ class ProcessorSharingCPU:
         if event._value != self._epoch:
             return  # superseded by a later arrival/departure
         self._timer = None
+        jobs = self._jobs
+        if len(jobs) == 1:
+            now = self.sim.now
+            # The solo job's remaining is _shortest and now >= _last, so
+            # this is _advance's subtraction (the clamp cannot change the
+            # test).  A solo job not yet due takes the general path.  An
+            # idle CPU holds no timer, and the next arrival resets _last,
+            # so neither needs the general path's epoch bump or _last.
+            if self._shortest - (now - self._last) <= _EPS:
+                job = jobs.popitem()[1]
+                self._c_completed.increment()
+                self._shortest = _INF
+                self.run_queue.set(0, now)
+                self.busy.set(0.0, now)
+                job.event.succeed()
+                return
         self._advance()
-        finished = [jid for jid, job in self._jobs.items() if job.remaining <= _EPS]
+        finished = [jid for jid, job in jobs.items() if job.remaining <= _EPS]
         events = []
         for jid in finished:
-            job = self._jobs.pop(jid)
-            self.stats.counter("completed").increment()
-            events.append(job.event)
+            events.append(jobs.pop(jid).event)
+            self._c_completed.increment()
         # Departures are the one place the cached minimum must be rescanned.
-        self._shortest = (
-            min(job.remaining for job in self._jobs.values())
-            if self._jobs
-            else float("inf")
-        )
+        self._shortest = min(job.remaining for job in jobs.values()) if jobs else _INF
         self._note_queue()
         self._reschedule()
         for event in events:

@@ -23,6 +23,7 @@ from ..obs.spans import NULL_RECORDER
 from ..protocol.packet import Packet
 from ..protocol.udp import Mailbox
 from ..sim.core import Event
+from ..sim.monitor import LazyStat
 from .unixproc import UnixProcess
 
 __all__ = ["Socket"]
@@ -31,12 +32,19 @@ __all__ = ["Socket"]
 class Socket:
     """A bound datagram/reliable socket owned by one UNIX process."""
 
+    _c_msgs_sent = LazyStat("msgs_sent", stats="machine.stats")
+    _c_bytes_sent = LazyStat("bytes_sent", stats="machine.stats")
+    _c_msgs_received = LazyStat("msgs_received", stats="machine.stats")
+    _c_bytes_received = LazyStat("bytes_received", stats="machine.stats")
+
     def __init__(self, proc: UnixProcess, port: int):
         self.proc = proc
         self.port = port
         self.machine = proc.machine
         self.mailbox: Mailbox = self.machine.transport.bind(port)
         self.closed = False
+        #: the platform's cost table, read on every send and receive
+        self._costs = proc.platform.os_costs
         self.machine.stats.counter("sockets_open").increment()
         self.obs = getattr(proc.sim, "obs", None) or NULL_RECORDER
         self._obs_pid = self.machine.station_id
@@ -67,13 +75,13 @@ class Socket:
                 self.proc.sim.now, "sock.send", "os", self._obs_pid, self._obs_tid, trace
             )
             trace = span.ctx
-        costs = self.proc.platform.os_costs
+        costs = self._costs
         yield from self.proc.syscall("sendto")
         yield from self.proc.compute_seconds(
             costs.protocol_per_message + costs.protocol_per_byte * payload_bytes
         )
-        self.machine.stats.counter("msgs_sent").increment()
-        self.machine.stats.counter("bytes_sent").increment(payload_bytes)
+        self._c_msgs_sent.increment()
+        self._c_bytes_sent.increment(payload_bytes)
         if dst_station == self.machine.station_id:
             # Same machine (virtual cluster): loopback, no wire — channels
             # are indistinguishable on the loss-free local path.
@@ -130,7 +138,7 @@ class Socket:
             now = self.proc.sim.now
             self.obs.instant(now, "sigio", "os", self._obs_pid, self._obs_tid, packet.trace)
             span = self.obs.begin(now, "sock.recv", "os", self._obs_pid, self._obs_tid, packet.trace)
-        costs = self.proc.platform.os_costs
+        costs = self._costs
         # SIGIO wakes the process, the kernel switches to it, recvfrom copies
         # the data out, protocol processing is charged per message + byte.
         yield from self.proc.compute_seconds(
@@ -140,8 +148,8 @@ class Socket:
         yield from self.proc.compute_seconds(
             costs.protocol_per_message + costs.protocol_per_byte * packet.payload_bytes
         )
-        self.machine.stats.counter("msgs_received").increment()
-        self.machine.stats.counter("bytes_received").increment(packet.payload_bytes)
+        self._c_msgs_received.increment()
+        self._c_bytes_received.increment(packet.payload_bytes)
         if span is not None:
             self.obs.end(span, self.proc.sim.now)
         return packet

@@ -20,6 +20,7 @@ from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 from ..errors import OSModelError
 from ..hardware.cpu import Work
 from ..sim.core import Event, Process
+from ..sim.monitor import LazyStat
 from .signals import SignalTable
 from .syscall import syscall_cost
 
@@ -32,6 +33,8 @@ __all__ = ["UnixProcess"]
 class UnixProcess:
     """One UNIX process on one simulated machine."""
 
+    _c_syscalls = LazyStat("syscalls", stats="machine.stats")
+
     def __init__(self, machine: "Machine", pid: int, name: str):
         self.machine = machine
         self.pid = pid
@@ -42,6 +45,7 @@ class UnixProcess:
         self.exit_value: Any = None
         #: accumulated CPU seconds requested by this process (diagnostics)
         self.cpu_seconds = 0.0
+        self._syscall_base = machine.platform.os_costs.syscall
 
     # -- identity -----------------------------------------------------------
     @property
@@ -58,22 +62,31 @@ class UnixProcess:
     # -- costed primitives ------------------------------------------------
     def compute(self, work: Work) -> Generator[Event, Any, None]:
         """Execute ``work`` on this machine's (shared) CPU."""
-        demand = self.platform.cpu.seconds_for(work)
-        yield from self.compute_seconds(demand)
+        burst = self._burst(self.platform.cpu.seconds_for(work))
+        if burst is not None:
+            yield burst
 
     def compute_seconds(self, seconds: float) -> Generator[Event, Any, None]:
-        if seconds < 0:
-            raise OSModelError(f"negative compute time: {seconds}")
-        if seconds == 0:
-            return
-        self.cpu_seconds += seconds
-        yield self.machine.cpu.execute(seconds)
+        burst = self._burst(seconds)
+        if burst is not None:
+            yield burst
 
     def syscall(self, name: str) -> Generator[Event, Any, None]:
         """Enter the kernel: burns the platform's cost for syscall ``name``."""
-        cost = syscall_cost(self.platform.os_costs.syscall, name)
-        self.machine.stats.counter("syscalls").increment()
-        yield from self.compute_seconds(cost)
+        cost = syscall_cost(self._syscall_base, name)
+        self._c_syscalls.increment()
+        burst = self._burst(cost)
+        if burst is not None:
+            yield burst
+
+    def _burst(self, seconds: float) -> Optional[Event]:
+        """Submit ``seconds`` of CPU demand; ``None`` when there is none."""
+        if seconds < 0:
+            raise OSModelError(f"negative compute time: {seconds}")
+        if seconds == 0:
+            return None
+        self.cpu_seconds += seconds
+        return self.machine.cpu.execute(seconds)
 
     def sleep(self, seconds: float) -> Generator[Event, Any, None]:
         if seconds < 0:

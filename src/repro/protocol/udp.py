@@ -20,7 +20,7 @@ from ..network.frame import ETH_MTU, EthernetFrame
 from ..network.nic import NIC
 from ..obs.spans import NET_TID, NULL_RECORDER
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from ..sim.resources import Store
 from .packet import Fragment, Packet, fragment_sizes
 
@@ -52,6 +52,13 @@ class DatagramService:
     not reorder; the service still tolerates interleaved fragments from
     different packets.
     """
+
+    _c_packets_sent = LazyStat("packets_sent")
+    _c_bytes_sent = LazyStat("bytes_sent")
+    _c_fragments_sent = LazyStat("fragments_sent")
+    _c_loopback_packets = LazyStat("loopback_packets")
+    _c_packets_received = LazyStat("packets_received")
+    _c_bytes_received = LazyStat("bytes_received")
 
     def __init__(self, sim: Simulator, nic: NIC, mtu: int = ETH_MTU):
         self.sim = sim
@@ -111,9 +118,9 @@ class DatagramService:
         )
         sizes = fragment_sizes(payload_bytes, self.mtu)
         total = len(sizes)
-        self.stats.counter("packets_sent").increment()
-        self.stats.counter("bytes_sent").increment(payload_bytes)
-        self.stats.counter("fragments_sent").increment(total)
+        self._c_packets_sent.increment()
+        self._c_bytes_sent.increment(payload_bytes)
+        self._c_fragments_sent.increment(total)
         for index, size in enumerate(sizes):
             fragment = Fragment(packet=packet, index=index, total=total, data_bytes=size)
             frame = EthernetFrame(
@@ -151,7 +158,7 @@ class DatagramService:
             payload_bytes=payload_bytes,
             trace=trace,
         )
-        self.stats.counter("loopback_packets").increment()
+        self._c_loopback_packets.increment()
         self._deliver(packet)
         return packet
 
@@ -176,8 +183,8 @@ class DatagramService:
         if mailbox is None:
             self.stats.counter("packets_no_port").increment()
             return
-        self.stats.counter("packets_received").increment()
-        self.stats.counter("bytes_received").increment(packet.payload_bytes)
+        self._c_packets_received.increment()
+        self._c_bytes_received.increment(packet.payload_bytes)
         if mailbox.on_arrival is not None:
             mailbox.on_arrival(packet)
         mailbox.queue.put(packet)

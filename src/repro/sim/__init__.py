@@ -25,7 +25,7 @@ from .core import (
 )
 from .resources import Container, Mutex, Release, Request, Resource, Store
 from .rng import RandomStreams
-from .monitor import Counter, StatSet, Tally, TimeWeighted, TraceRecord, Tracer
+from .monitor import Counter, LazyStat, StatSet, Tally, TimeWeighted, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -47,6 +47,7 @@ __all__ = [
     "Store",
     "RandomStreams",
     "Counter",
+    "LazyStat",
     "StatSet",
     "Tally",
     "TimeWeighted",

@@ -9,9 +9,12 @@ traffic — so every subsystem exposes a :class:`StatSet`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Counter", "TimeWeighted", "Tally", "StatSet", "TraceRecord", "Tracer"]
+__all__ = [
+    "Counter", "TimeWeighted", "Tally", "StatSet", "LazyStat", "TraceRecord", "Tracer",
+]
 
 
 class Counter:
@@ -136,6 +139,33 @@ class StatSet:
                 out[f"{name}.min"] = t.min
                 out[f"{name}.max"] = t.max
         return out
+
+
+class LazyStat:
+    """Class attribute naming one hot counter (or tally) of a ``StatSet``.
+
+    ``obj.<attr>`` looks ``name`` up in the instance's stat set on first
+    access and caches the result in the instance ``__dict__``; being a
+    non-data descriptor, every later access is a plain attribute read.  The
+    lookup happens exactly where a ``stats.counter(name)`` call would have,
+    so the key enters the set at the same moment and in the same order, and
+    a stat that is never touched never appears in ``snapshot()``.  ``stats``
+    is a dotted path from the instance (``"machine.stats"``).
+    """
+
+    def __init__(self, name: str, kind: str = "counter", stats: str = "stats"):
+        self.name = name
+        self._lookup = attrgetter(f"{stats}.{kind}")
+        self.attr = ""
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        stat = obj.__dict__[self.attr] = self._lookup(obj)(self.name)
+        return stat
 
 
 @dataclass

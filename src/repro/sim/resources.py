@@ -136,7 +136,7 @@ class StoreGet(Event):
     __slots__ = ("store", "filter")
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None):
-        super().__init__(store.sim, name=f"get:{store.name}")
+        super().__init__(store.sim, name=store._get_name)
         self.store = store
         self.filter = filter
         store._getters.append(self)
@@ -149,7 +149,7 @@ class StorePut(Event):
     __slots__ = ("store", "item")
 
     def __init__(self, store: "Store", item: Any):
-        super().__init__(store.sim, name=f"put:{store.name}")
+        super().__init__(store.sim, name=store._put_name)
         self.store = store
         self.item = item
         store._putters.append(self)
@@ -171,6 +171,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._get_name = f"get:{name}"
+        self._put_name = f"put:{name}"
         self.items: Deque[Any] = deque()
         self._getters: List[StoreGet] = []
         self._putters: List[StorePut] = []
@@ -188,9 +190,9 @@ class Store:
         return len(self.items)
 
     def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
+        if not self._putters and not (self._getters and self.items):
+            return  # nothing to admit and no getter can match
+        while True:
             # Admit pending puts while there is room.
             while self._putters and len(self.items) < self.capacity:
                 putter = self._putters.pop(0)
@@ -198,8 +200,8 @@ class Store:
                 self.total_puts += 1
                 self.peak_occupancy = max(self.peak_occupancy, len(self.items))
                 putter.succeed(priority=PRIORITY_URGENT)
-                progress = True
             # Satisfy getters in FIFO order against available items.
+            got = False
             i = 0
             while i < len(self._getters):
                 getter = self._getters[i]
@@ -217,9 +219,14 @@ class Store:
                     self._getters.pop(i)
                     self.total_gets += 1
                     getter.succeed(matched, priority=PRIORITY_URGENT)
-                    progress = True
+                    got = True
                 else:
                     i += 1
+            # Items only shrink during the scan, so a getter that missed
+            # keeps missing; another pass can only help once a get has
+            # freed room for a waiting put.
+            if not (got and self._putters):
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Store {self.name!r} items={len(self.items)} waiting_get={len(self._getters)}>"

@@ -125,9 +125,15 @@ def run_bench_matrix(n_requests: int = CANONICAL["n_requests"]) -> Dict[str, Dic
 
 
 def check_gates(
-    results: Dict[str, Dict[str, float]], tolerance: float = 0.15
+    results: Dict[str, Dict[str, float]], tolerance: float = 0.15,
+    closed_forms: bool = True,
 ) -> List[Tuple[str, bool]]:
-    """The report-reproduction gates over one matrix; (description, ok)."""
+    """The report-reproduction gates over one matrix; (description, ok).
+
+    ``closed_forms=False`` keeps only the orderings and drops the
+    sim-vs-analytic error checks, whose ``tolerance`` assumes the full
+    request count.
+    """
     checks: List[Tuple[str, bool]] = []
     for rho in BENCH_LOADS:
         clone = results[f"clone-2@{rho:g}"]["mean"]
@@ -144,6 +150,8 @@ def check_gates(
         f"{det_rand:.4f} < clone-2 {det_clone:.4f}",
         det_rand < det_clone,
     ))
+    if not closed_forms:
+        return checks
     for key, outcome in sorted(results.items()):
         analytic = outcome.get("analytic")
         if analytic is None or "det" in key:

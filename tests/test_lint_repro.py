@@ -379,6 +379,18 @@ def test_wiring_flags_undeclared_stat_key_and_suppression(tmp_path):
     assert "'deliverd'" in errors[0]
 
 
+def test_wiring_checks_lazy_stat_keys(tmp_path):
+    errors = wiring_tree(tmp_path, extra={
+        "gmem.py": (
+            "class G:\n"
+            "    _c_ok = LazyStat('rtt', kind='tally')\n"
+            "    _c_typo = LazyStat('deliverd', stats='machine.stats')\n"
+        ),
+    })
+    assert rules_of(errors) == ["unknown-stat-key"]
+    assert "'deliverd'" in errors[0]
+
+
 def test_repo_wiring_is_clean():
     assert lint_repro.lint_wiring(REPO_ROOT) == []
 

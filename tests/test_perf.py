@@ -23,6 +23,12 @@ MICRO_PINS = {
     "bus_contention": {"sim_now": 0.18462899999999832, "events": 5372, "cancelled": 0},
 }
 
+#: exact outcome of the solo-burst scenario, captured on the scheduler
+#: before it had a solo path: 20,000 bursts, each one timer plus one
+#: completion event
+PS_SOLO_PIN = {"sim_now": 37.999100000001164, "events": 40002, "cancelled": 0,
+               "completed": 20000}
+
 
 # -- bench scenario determinism ------------------------------------------------
 @pytest.mark.parametrize("name", sorted(MICRO_PINS))
@@ -37,6 +43,11 @@ def test_micro_bench_outcomes_bit_identical_to_seed_engine(name):
 def test_bench_registry_covers_micro_benches():
     for name in MICRO_BENCHES:
         assert name in BENCHES
+
+
+def test_ps_solo_outcome_bit_identical_to_general_ps_path():
+    assert run_bench("ps_solo") == PS_SOLO_PIN
+    assert "ps_solo" not in MICRO_BENCHES
 
 
 # -- profiler fidelity --------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property-based tests for the simulation engine (hypothesis)."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.osmodel import ProcessorSharingCPU
-from repro.sim import Resource, Simulator, Store
+from repro.sim import PRIORITY_URGENT, Resource, Simulator, Store
+from repro.sim.monitor import StatSet, TimeWeighted
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20))
@@ -97,6 +99,85 @@ def test_store_fifo_property(items):
     assert got == items
 
 
+class _ReferenceStore(Store):
+    """Store with the original dispatch loop: repeat whole passes (admit
+    puts, then scan getters) until one makes no progress."""
+
+    def _dispatch(self):
+        progress = True
+        while progress:
+            progress = False
+            while self._putters and len(self.items) < self.capacity:
+                putter = self._putters.pop(0)
+                self.items.append(putter.item)
+                self.total_puts += 1
+                self.peak_occupancy = max(self.peak_occupancy, len(self.items))
+                putter.succeed(priority=PRIORITY_URGENT)
+                progress = True
+            i = 0
+            while i < len(self._getters):
+                getter = self._getters[i]
+                matched = None
+                if getter.filter is None:
+                    if self.items:
+                        matched = self.items.popleft()
+                else:
+                    for j, item in enumerate(self.items):
+                        if getter.filter(item):
+                            matched = item
+                            del self.items[j]
+                            break
+                if matched is not None:
+                    self._getters.pop(i)
+                    self.total_gets += 1
+                    getter.succeed(matched, priority=PRIORITY_URGENT)
+                    progress = True
+                else:
+                    i += 1
+
+
+_FILTERS = {"any": None, "even": lambda x: x % 2 == 0, "odd": lambda x: x % 2 == 1}
+
+
+def _store_log(store_cls, capacity, ops):
+    sim = Simulator()
+    store = store_cls(sim, capacity=capacity)
+    log = []
+
+    def actor(k, at, op, arg):
+        yield sim.timeout(at)
+        if op == "put":
+            yield store.put(arg)
+            log.append((sim.now, k, "put", arg))
+        else:
+            item = yield store.get(_FILTERS[arg])
+            log.append((sim.now, k, "got", item))
+
+    for k, (at, op, arg) in enumerate(ops):
+        sim.process(actor(k, at, op, arg))
+    sim.run_all()
+    return log, list(store.items), store.total_puts, store.total_gets, store.peak_occupancy
+
+
+@given(
+    capacity=st.sampled_from([1, 2, 3, float("inf")]),
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from(["put", "get"]),
+            st.integers(min_value=0, max_value=9),
+        ).map(lambda t: (t[0], t[1], t[2] if t[1] == "put" else list(_FILTERS)[t[2] % 3])),
+        min_size=1,
+        max_size=25,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_store_dispatch_matches_full_pass_loop(capacity, ops):
+    """Bounded and filtered stores: same hand-offs, at the same times and in
+    the same order, as the loop that repeats passes until no progress."""
+    assert _store_log(Store, capacity, ops) == _store_log(_ReferenceStore, capacity, ops)
+
+
 @given(
     capacity=st.integers(min_value=1, max_value=5),
     n_users=st.integers(min_value=1, max_value=15),
@@ -121,3 +202,191 @@ def test_resource_never_exceeds_capacity(capacity, n_users):
     assert max_seen <= capacity
     assert res.count == 0
     assert res.total_requests == n_users
+
+
+# -- solo-burst path vs the general processor-sharing algorithm ---------------
+class _RefJob:
+    __slots__ = ("event", "remaining")
+
+    def __init__(self, event, demand):
+        self.event = event
+        self.remaining = demand
+
+
+class _ReferencePS:
+    """The processor-sharing CPU without the solo-burst path: every arrival
+    advances all jobs and re-arms, every timer advances and rescans.  Kept
+    here as the bit-exact reference the scheduler's fast path must match."""
+
+    def __init__(self, sim, context_switch, timeslice=0.010):
+        self.sim = sim
+        self.context_switch = context_switch
+        self.timeslice = timeslice
+        self._jobs = {}
+        self._next_job_id = 0
+        self._last = sim.now
+        self._epoch = 0
+        self._timer = None
+        self._shortest = float("inf")
+        self.stats = StatSet("ref")
+        self.run_queue = TimeWeighted("ref.runq", start_time=sim.now)
+        self.busy = TimeWeighted("ref.busy", start_time=sim.now)
+
+    def rate(self, n):
+        if n == 1:
+            return 1.0
+        return 1.0 / (n * (1.0 + self.context_switch / self.timeslice))
+
+    def execute(self, demand):
+        event = self.sim.event("ref.burst")
+        self._advance()
+        self._jobs[self._next_job_id] = _RefJob(event, demand)
+        self._next_job_id += 1
+        if demand < self._shortest:
+            self._shortest = demand
+        self._note_queue()
+        self._reschedule()
+        return event
+
+    def _note_queue(self):
+        n = len(self._jobs)
+        self.run_queue.set(n, self.sim.now)
+        self.busy.set(1.0 if n else 0.0, self.sim.now)
+
+    def _advance(self):
+        now = self.sim.now
+        dt = now - self._last
+        self._last = now
+        if dt <= 0 or not self._jobs:
+            return
+        progressed = dt * self.rate(len(self._jobs))
+        for job in self._jobs.values():
+            job.remaining -= progressed
+            if job.remaining < 0:
+                job.remaining = 0.0
+        self._shortest -= progressed
+        if self._shortest < 0:
+            self._shortest = 0.0
+
+    def _reschedule(self):
+        self._epoch += 1
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if not self._jobs:
+            self._shortest = float("inf")
+            return
+        timer = self.sim.timeout(self._shortest / self.rate(len(self._jobs)), value=self._epoch)
+        timer.callbacks.append(self._on_timer)
+        self._timer = timer
+
+    def _on_timer(self, ev):
+        if ev._value != self._epoch:
+            return
+        self._timer = None
+        self._advance()
+        finished = [jid for jid, job in self._jobs.items() if job.remaining <= 1e-12]
+        events = []
+        for jid in finished:
+            events.append(self._jobs.pop(jid).event)
+            self.stats.counter("completed").increment()
+        self._shortest = (
+            min(job.remaining for job in self._jobs.values()) if self._jobs else float("inf")
+        )
+        self._note_queue()
+        self._reschedule()
+        for done in events:
+            done.succeed()
+
+
+def _run_arrivals(make_cpu, arrivals, context_switch):
+    """Submit ``(arrival, demand)`` bursts; return completion times, the
+    CPU's integrals, its completed count, the event counts and the cases
+    the schedule reached (for the solo path's conversion points)."""
+    sim = Simulator()
+    cpu = make_cpu(sim, context_switch)
+    done = {}
+    cases = set()
+    started = {}
+
+    def job(i, at, demand):
+        yield sim.timeout(at)
+        if len(cpu._jobs) == 1:
+            (solo,) = cpu._jobs.values()
+            same = started[solo.event] == sim.now
+            cases.add("convert-same-instant" if same else "convert-mid-burst")
+        burst = cpu.execute(demand)
+        started[burst] = sim.now
+        yield burst
+        done[i] = sim.now
+
+    for i, (at, demand) in enumerate(arrivals):
+        sim.process(job(i, at, demand))
+    sim.run_all()
+    if set(started.values()) & set(done.values()):
+        cases.add("arrival-at-completion")
+    return {
+        "done": [done[i].hex() for i in range(len(arrivals))],
+        "runq": cpu.run_queue.average(sim.now).hex(),
+        "busy": cpu.busy.average(sim.now).hex(),
+        "completed": cpu.stats.counter("completed").value,
+        "events": (sim.events_processed, sim.events_cancelled),
+    }, cases
+
+
+_demand = st.floats(min_value=1e-6, max_value=0.05)
+
+
+@st.composite
+def _staggered_arrivals(draw):
+    """Arrival times built so collisions with solo completions are likely:
+    each gap is zero (same instant), the previous burst's own demand (its
+    completion instant if it ran alone) or a random offset."""
+    arrivals = []
+    at = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        demand = draw(_demand)
+        kind = draw(st.sampled_from(["same", "at-completion", "random"]))
+        if arrivals and kind == "same":
+            at = arrivals[-1][0]
+        elif arrivals and kind == "at-completion":
+            at = arrivals[-1][0] + arrivals[-1][1]
+        elif arrivals:
+            at = arrivals[-1][0] + draw(st.floats(min_value=0.0, max_value=0.05))
+        arrivals.append((at, demand))
+    return arrivals
+
+
+#: one canonical schedule per conversion case the solo path must handle
+_CASES = {
+    "convert-same-instant": [(0.0, 0.004), (0.0, 0.002), (0.01, 0.003)],
+    "convert-mid-burst": [(0.0, 0.004), (0.001, 0.002), (0.02, 0.001)],
+    "arrival-at-completion": [(0.0, 0.003), (0.0 + 0.003, 0.005), (0.008, 0.001)],
+}
+
+
+def _assert_bit_identical(arrivals, context_switch):
+    fast, cases = _run_arrivals(
+        lambda sim, cs: ProcessorSharingCPU(sim, context_switch=cs), arrivals, context_switch
+    )
+    ref, ref_cases = _run_arrivals(_ReferencePS, arrivals, context_switch)
+    assert fast == ref
+    assert cases == ref_cases
+    return cases
+
+
+@given(
+    arrivals=_staggered_arrivals(),
+    context_switch=st.floats(min_value=1e-6, max_value=2e-3),
+)
+@settings(max_examples=200, deadline=None)
+def test_solo_burst_path_matches_general_ps_bit_for_bit(arrivals, context_switch):
+    """Completion times, run-queue and busy integrals, completions and the
+    event counts equal the general algorithm's to the last bit."""
+    for case in _assert_bit_identical(arrivals, context_switch):
+        event(case)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_solo_burst_conversion_cases_are_reached(case):
+    assert case in _assert_bit_identical(_CASES[case], 25e-6)

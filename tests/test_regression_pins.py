@@ -5,8 +5,10 @@ pinned to their exact observed values.  If a refactor changes any of these
 numbers, either it changed behaviour (fix it) or it *intentionally*
 re-calibrated (update the pins AND regenerate EXPERIMENTS.md).
 
-Pins use a tiny relative tolerance to absorb floating-point reassociation
-across numpy versions; anything beyond 0.1% is a behaviour change.
+Most pins use a tiny relative tolerance to absorb floating-point
+reassociation across numpy versions; anything beyond 0.1% is a behaviour
+change.  The CPU-model pins at the end are exact (``float.hex()``): they
+guard the scheduler's fast paths, which must not move a single bit.
 """
 
 import pytest
@@ -70,3 +72,68 @@ def test_pin_knights_tour_point():
 
     t = elapsed_of(knights_tour_worker, (32,))
     assert t == pytest.approx(4.326778, rel=1e-3)
+
+
+# -- exact pins of the processor-sharing CPU model ----------------------------
+# The approx pins above cannot see a one-ulp drift.  These two runs pin the
+# simulated clock, the event counts and every CPU's run-queue and busy
+# integrals bit for bit (as float.hex()).  The switched run is mostly solo
+# bursts (one kernel per machine); the bus run doubles kernels up on six
+# machines, so its bursts share CPUs.
+EXACT_PINS = {
+    "switch-8-batched": {
+        "elapsed": "0x1.1907a0ec71ec5p-5",
+        "sim_events": 6483,
+        "events_cancelled": 634,
+        "runq": [
+            "0x1.ac326baa98792p-1", "0x1.517350a0f531bp-2", "0x1.5080981cdab52p-2",
+            "0x1.265c39df04b45p-2", "0x1.477a03d4e68a7p-2", "0x1.3b5d0c25d8cf8p-2",
+            "0x1.29672b557533ap-2", "0x1.33ff9e9180a9ep-2",
+        ],
+        "util": [
+            "0x1.142efad765053p-1", "0x1.dff1e05a8b520p-3", "0x1.dfee90af01341p-3",
+            "0x1.dfcfe35c33019p-3", "0x1.dfeeb9dae963ap-3", "0x1.dfe28787170e9p-3",
+            "0x1.dfcd3eea03211p-3", "0x1.dfdcc5873affep-3",
+        ],
+    },
+    "bus-12-on-6": {
+        "elapsed": "0x1.ad2315975b152p-3",
+        "sim_events": 16519,
+        "events_cancelled": 2393,
+        "runq": [
+            "0x1.8925a5996fcd3p+0", "0x1.a9b7f776df9a8p-1", "0x1.94a59d625addbp-1",
+            "0x1.9c90ded32a4c9p-1", "0x1.b17e7975f26ccp-1", "0x1.9aceae2bd5dd3p-1",
+        ],
+        "util": [
+            "0x1.844c28d89095fp-1", "0x1.beca6480a76b9p-2", "0x1.bea511bf2b106p-2",
+            "0x1.bec80c347dfefp-2", "0x1.beb7b1576b991p-2", "0x1.bebd302b2d791p-2",
+        ],
+    },
+}
+
+
+def _exact_pin_config(name):
+    from repro.network.topology import FabricConfig
+
+    if name == "switch-8-batched":
+        return ClusterConfig(
+            platform=get_platform("linux"), n_processors=8, n_machines=8,
+            fabric=FabricConfig(kind="switch"), gmem_batching=True,
+        )
+    return ClusterConfig(platform=get_platform("sunos"), n_processors=12, n_machines=6)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PINS))
+def test_exact_pin_cpu_model(name):
+    from repro.apps import gauss_seidel_worker
+
+    res = run_parallel(_exact_pin_config(name), gauss_seidel_worker, args=(96, 2, 7, False))
+    machines = res.cluster.machines
+    got = {
+        "elapsed": res.elapsed.hex(),
+        "sim_events": res.sim_events,
+        "events_cancelled": res.cluster.sim.events_cancelled,
+        "runq": [m.cpu.average_run_queue().hex() for m in machines],
+        "util": [m.cpu.utilization().hex() for m in machines],
+    }
+    assert got == EXACT_PINS[name]

@@ -16,13 +16,15 @@ Three suites, selected with ``--suite``:
   Also all-simulated/exact; additionally gates the PS request-cloning
   report's orderings (clone-2 beats random on the heavy tail, loses on
   deterministic service) and the simulated-vs-analytic error within
-  ``--tolerance`` of the closed forms.
+  ``--tolerance`` of the closed forms.  ``--smoke`` runs a tenth of the
+  requests and keeps only the ordering gates (see ``SMOKE_NO_ANALYTIC``).
 
 The engine suite has three modes:
 
 record
     ``python tools/check_bench.py --record --label "post-PR5 fast paths"``
-    appends a fresh measurement to the trajectory.
+    appends a fresh measurement to the trajectory, stamped with the
+    machine, the Python version and the CPU count.
 
 compare (default)
     Runs the scenarios fresh and compares against the *latest* committed
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -65,6 +68,24 @@ _GATE_KEYS = ("sr@0.02", "dual@0.02")
 
 #: deterministic outcome fields compared exactly between runs
 _EXACT_FIELDS = ("sim_now", "events", "cancelled")
+
+#: why ``--suite traffic --smoke`` skips the closed-form error checks
+SMOKE_NO_ANALYTIC = (
+    "smoke mode: skipping the sim-vs-analytic checks; a {n}-request mean of "
+    "Pareto(1.5) service (infinite variance) is too noisy for a {tol:g}% "
+    "bound (hostbench measured -12%..+22% over 20 seeds even at 10^5 "
+    "requests); the full suite keeps them"
+)
+
+
+def stamp(label: str) -> dict:
+    """The head of a recorded trajectory entry: label and host stamp."""
+    return {
+        "label": label,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
 
 
 def measure(repeats: int) -> dict:
@@ -193,12 +214,7 @@ def _transport_suite(args) -> int:
     fresh = measure_transport()
     trajectory = load_trajectory(args.baseline)
     if args.record:
-        trajectory.append({
-            "label": args.label,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            **fresh,
-        })
+        trajectory.append({**stamp(args.label), **fresh})
         save_trajectory(args.baseline, trajectory,
                         benches=sorted(fresh["results"]))
         print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
@@ -222,12 +238,7 @@ def _engine_suite(args) -> int:
     fresh = measure(repeats)
 
     if args.record:
-        trajectory.append({
-            "label": args.label,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "results": fresh,
-        })
+        trajectory.append({**stamp(args.label), "results": fresh})
         save_trajectory(args.baseline, trajectory)
         print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
               f"to {args.baseline}")
@@ -256,7 +267,10 @@ def _traffic_suite(args) -> int:
 
     failures = 0
     print("\nreport-reproduction gates:")
-    for description, ok in check_gates(fresh, tolerance=args.tolerance):
+    if args.smoke:
+        print("  " + SMOKE_NO_ANALYTIC.format(n=n_requests, tol=args.tolerance * 100))
+    gates = check_gates(fresh, tolerance=args.tolerance, closed_forms=not args.smoke)
+    for description, ok in gates:
         print(f"  [{'PASS' if ok else 'FAIL'}] {description}")
         failures += 0 if ok else 1
 
@@ -266,13 +280,8 @@ def _traffic_suite(args) -> int:
             print(f"\nrefusing to record a baseline that fails "
                   f"{failures} gate(s)", file=sys.stderr)
             return 1
-        trajectory.append({
-            "label": args.label,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "n_requests": n_requests,
-            "results": fresh,
-        })
+        trajectory.append({**stamp(args.label), "n_requests": n_requests,
+                           "results": fresh})
         save_trajectory(args.baseline, trajectory, benches=sorted(fresh))
         print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
               f"to {args.baseline}")

@@ -58,8 +58,8 @@ reported with the same ``path:line: [rule] message`` shape):
   pairs together, or a retry repairs one direction while the other
   silently reorders.
 * **unknown-stat-key** — every ``stats.counter("...")`` /
-  ``stats.tally("...")`` literal must appear in the declared registry
-  (:mod:`repro.sim.statreg`); a typo'd key creates a fresh zero counter
+  ``stats.tally("...")`` / ``LazyStat("...")`` literal must appear in the
+  declared registry (:mod:`repro.sim.statreg`); a typo'd key creates a fresh zero counter
   and every reader of the intended key sees stale data.
 
 Suppress a deliberate use with a ``# lint: allow-<rule>`` comment on the
@@ -442,6 +442,19 @@ class _WiringScan(ast.NodeVisitor):
             and isinstance(node.args[0].value, str)
         ):
             self.stat_keys.append((func.attr, node.args[0].value, node.lineno))
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "LazyStat"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            kind = next(
+                (kw.value.value for kw in node.keywords
+                 if kw.arg == "kind" and isinstance(kw.value, ast.Constant)),
+                "counter",
+            )
+            self.stat_keys.append((kind, node.args[0].value, node.lineno))
         self.generic_visit(node)
 
 
