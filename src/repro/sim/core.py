@@ -29,6 +29,12 @@ this loop, so the engine has a deliberate fast path (profiled with
   (you cancel only events you hold *every* reference to) is exactly what
   makes the recycling safe, and timer churn was the engine's dominant
   allocation;
+* :meth:`Timeout.rearm` moves a pending timer to a new delay on the same
+  object — exactly :meth:`Timeout.cancel` followed by
+  :meth:`Simulator.timeout` in heap slots, sequence numbers and
+  ``events_cancelled``, minus the pool round trip and the callback
+  re-registration (the traffic layer's PS servers move their departure
+  timer this way on every arrival and removal);
 * :class:`Timeout` construction inlines both the :class:`Event`
   constructor and the scheduling push — it is the hottest allocation site;
 * ``Simulator.now`` is a plain attribute, not a property, because the hot
@@ -223,6 +229,29 @@ class Timeout(Event):
         sim.events_cancelled += 1
         if type(self) is Timeout and len(sim._timeout_pool) < _TIMEOUT_POOL_MAX:
             sim._timeout_pool.append(self)
+
+    def rearm(self, delay: float) -> None:
+        """Move a pending timeout to fire ``delay`` from now (owner-only).
+
+        Exactly :meth:`cancel` followed by :meth:`Simulator.timeout` on the
+        same object: the old heap slot is nulled, ``events_cancelled`` goes
+        up by one, and a fresh slot with a fresh sequence number is pushed.
+        The callbacks, name and value are kept, and the timeout pool is
+        left alone.  Re-arming a timeout that has fired or been cancelled
+        raises instead of corrupting the heap.
+        """
+        entry = self._entry
+        if entry is None:
+            raise RuntimeError(f"cannot rearm {self!r}: it has fired or been cancelled")
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        entry[3] = None
+        sim = self.sim
+        sim.events_cancelled += 1
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        self._entry = entry = [sim.now + delay, PRIORITY_NORMAL, seq, self]
+        heappush(sim._queue, entry)
 
 
 class Initialize(Event):

@@ -36,7 +36,7 @@ from ..obs.metrics import MetricsSampler
 from ..obs.spans import SpanRecorder
 from ..resilience.campaign import CrashPlan
 from ..sim.core import Simulator
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from ..sim.rng import RandomStreams
 from ..ssi.endpoints import ServiceDirectory
 from .policies import make_policy
@@ -193,6 +193,17 @@ class TrafficResult:
 class TrafficEngine:
     """Builds and runs one traffic scenario on a fresh simulator."""
 
+    # Hot ``trf`` stats, each looked up once per engine (see LazyStat).
+    _c_offered = LazyStat("requests_offered")
+    _c_admitted = LazyStat("requests_admitted")
+    _c_rejected = LazyStat("requests_rejected")
+    _c_cloned = LazyStat("requests_cloned")
+    _c_completed = LazyStat("requests_completed")
+    _c_dispatched = LazyStat("clones_dispatched")
+    _c_cancelled = LazyStat("clones_cancelled")
+    _t_work = LazyStat("request_work", kind="tally")
+    _t_response = LazyStat("response_time", kind="tally")
+
     def __init__(self, config: TrafficConfig):
         self.config = config
         self.sim = Simulator()
@@ -248,36 +259,40 @@ class TrafficEngine:
 
     # -- request lifecycle ----------------------------------------------
     def _offer(self, spec: TenantSpec, svc_rng, now: float) -> None:
-        stats = self.stats
-        stats.counter("requests_offered").increment()
-        self.slo.offered[spec.name] += 1
-        bucket = self.buckets.get(spec.name)
+        slo = self.slo
+        name = spec.name
+        self._c_offered.increment()
+        slo.offered[name] += 1
+        bucket = self.buckets.get(name)
         if bucket is not None and not bucket.try_take(now):
-            stats.counter("requests_rejected").increment()
-            self.slo.rejected[spec.name] += 1
+            self._c_rejected.increment()
+            slo.rejected[name] += 1
             return
-        stats.counter("requests_admitted").increment()
+        self._c_admitted.increment()
         self._admitted += 1
-        request = _Request(spec.name, now)
+        request = _Request(name, now)
         targets = self.policy.select(self.cluster, self._dispatch_rng, now)
         if (
             self.recorder.enabled
             and self._admitted % self.config.span_sample == 0
         ):
             request.span = self.recorder.begin(
-                now, f"trf.request.{spec.name}", "request",
+                now, f"trf.request.{name}", "request",
                 pid=targets[0], tid=0,
             )
         if len(targets) > 1:
-            stats.counter("requests_cloned").increment()
+            self._c_cloned.increment()
+        servers = self.cluster.servers
+        sample = spec.service.sample
+        clones = request.clones
         for server_id in targets:
-            size = spec.service.sample(svc_rng)
-            stats.tally("request_work").observe(size)
+            size = sample(svc_rng)
+            self._t_work.observe(size)
             self._window_work += size
             clone = Clone(request, size)
-            request.clones.append(clone)
-            stats.counter("clones_dispatched").increment()
-            self.cluster.servers[server_id].admit(clone, now)
+            clones.append(clone)
+            self._c_dispatched.increment()
+            servers[server_id].admit(clone, now)
         self._outstanding += 1
 
     def _on_clone_complete(self, clone: Clone, now: float) -> None:
@@ -285,18 +300,19 @@ class TrafficEngine:
         if request.done:  # pragma: no cover - siblings are cancelled below
             return
         request.done = True
-        stats = self.stats
-        for sibling in request.clones:
-            if sibling is not clone and sibling.alive and sibling.server is not None:
-                sibling.server.remove(sibling, now)
-                stats.counter("clones_cancelled").increment()
+        clones = request.clones
+        if len(clones) > 1:
+            for sibling in clones:
+                if sibling is not clone and sibling.alive and sibling.server is not None:
+                    sibling.server.remove(sibling, now)
+                    self._c_cancelled.increment()
         latency = now - request.t0
         self.slo.observe(request.tenant, latency)
-        stats.counter("requests_completed").increment()
-        stats.tally("response_time").observe(latency)
+        self._c_completed.increment()
+        self._t_response.observe(latency)
         if request.span is not None:
             self.recorder.end(request.span, now)
-        request.clones.clear()
+        clones.clear()
         self._outstanding -= 1
         if self._outstanding == 0 and self._generators_live == 0:
             self._t_done = now

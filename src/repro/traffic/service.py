@@ -14,8 +14,10 @@ so a million-request run stays tractable on the event engine:
 * departures are a min-heap on that finish virtual time with lazy
   deletion (cancelled clones stay in the heap, dead), and exactly one
   armed :class:`~repro.sim.core.Timeout` per server covers the next
-  departure.  Every arrival/removal cancels and re-arms it — the exact
-  timer-churn pattern the engine's Timeout free-list was built for.
+  departure.  Every arrival/removal moves it with
+  :meth:`~repro.sim.core.Timeout.rearm` (cancel + re-schedule on the
+  same object), and it is cancelled outright when the server empties or
+  goes down.
 
 So one request costs O(log n) heap work and ~2 events end to end,
 independent of how many jobs share the server.
@@ -60,7 +62,8 @@ class PSServer:
 
     __slots__ = (
         "sim", "server_id", "rate", "jobs", "_heap", "_vtime", "_vlast",
-        "_timer", "on_complete", "up", "draining", "busy_area", "completed",
+        "_timer", "_on_depart_cb", "on_complete", "up", "draining",
+        "busy_area", "completed",
     )
 
     def __init__(self, sim: Simulator, server_id: int, rate: float = 1.0):
@@ -69,13 +72,15 @@ class PSServer:
         self.sim = sim
         self.server_id = server_id
         self.rate = rate
-        #: live clones resident on this server
-        self.jobs: Dict[int, Clone] = {}
+        #: live clones resident on this server, in admission order
+        self.jobs: Dict[Clone, Clone] = {}
         #: min-heap of [vfinish, seq, clone] with lazy deletion
         self._heap: List[list] = []
         self._vtime = 0.0
         self._vlast = sim.now
         self._timer = None
+        #: the departure callback, bound once rather than per re-arm
+        self._on_depart_cb = self._on_depart
         #: called as on_complete(clone, now) when a clone finishes
         self.on_complete: Optional[Callable[[Clone, float], None]] = None
         self.up = True
@@ -85,6 +90,7 @@ class PSServer:
         self.completed = 0
 
     # -- virtual clock ---------------------------------------------------
+    # ``admit`` and ``_on_depart`` inline this same advance on the hot path.
     def _advance(self, now: float) -> None:
         n = len(self.jobs)
         if n:
@@ -107,13 +113,19 @@ class PSServer:
 
     # -- membership ------------------------------------------------------
     def admit(self, clone: Clone, now: float) -> None:
-        self._advance(now)
+        jobs = self.jobs
+        n = len(jobs)
+        if n:
+            dt = now - self._vlast
+            self._vtime += dt * self.rate / n
+            self.busy_area += dt
+        self._vlast = now
         clone.server = self
-        clone.vfinish = self._vtime + clone.size
-        self.jobs[id(clone)] = clone
+        clone.vfinish = vfinish = self._vtime + clone.size
+        jobs[clone] = clone
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(self._heap, [clone.vfinish, seq, clone])
+        heappush(self._heap, [vfinish, seq, clone])
         self._rearm()
 
     def remove(self, clone: Clone, now: float) -> None:
@@ -123,29 +135,44 @@ class PSServer:
         self._advance(now)
         clone.alive = False
         clone.server = None
-        del self.jobs[id(clone)]
+        del self.jobs[clone]
         self._rearm()
 
     # -- departures ------------------------------------------------------
     def _rearm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()  # owner-only cancel: recycled via the pool
-            self._timer = None
+        """Point the departure timer at the heap's next live clone.
+
+        A pending timer is moved in place (``Timeout.rearm`` is exactly
+        cancel + a fresh timeout); it is cancelled when nothing is left
+        to depart or the server is down.
+        """
         heap = self._heap
         while heap and not heap[0][2].alive:
             heappop(heap)
+        timer = self._timer
         if not heap or not self.up:
+            if timer is not None:
+                timer.cancel()  # owner-only cancel: recycled via the pool
+                self._timer = None
             return
-        n = len(self.jobs)
-        delay = (heap[0][0] - self._vtime) * n / self.rate
+        delay = (heap[0][0] - self._vtime) * len(self.jobs) / self.rate
         if delay < 0.0:
             delay = 0.0
-        self._timer = timer = self.sim.timeout(delay, name="trf.depart")
-        timer.callbacks.append(self._on_depart)
+        if timer is not None:
+            timer.rearm(delay)
+        else:
+            self._timer = timer = self.sim.timeout(delay, name="trf.depart")
+            timer.callbacks.append(self._on_depart_cb)
 
     def _on_depart(self, _event) -> None:
         now = self.sim.now
-        self._advance(now)
+        jobs = self.jobs
+        n = len(jobs)
+        if n:
+            dt = now - self._vlast
+            self._vtime += dt * self.rate / n
+            self.busy_area += dt
+        self._vlast = now
         self._timer = None
         heap = self._heap
         while heap and not heap[0][2].alive:
@@ -155,7 +182,7 @@ class PSServer:
         clone = heappop(heap)[2]
         clone.alive = False
         clone.server = None
-        del self.jobs[id(clone)]
+        del jobs[clone]
         self.completed += 1
         self._rearm()
         # Callback last: it may cancel sibling clones on other servers.
@@ -170,7 +197,8 @@ class PSServer:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        lost = [self.jobs[key] for key in sorted(self.jobs)]
+        # Admission order: reassignment draws must not follow heap addresses.
+        lost = list(self.jobs.values())
         for clone in lost:
             clone.alive = False
             clone.server = None

@@ -63,7 +63,10 @@ class LatencyHistogram:
             # Zero-latency requests (an empty service sample rounded off)
             # land in the smallest representable bucket.
             value = 5e-324
-        index = self.bucket_of(value)
+        self._add(self.bucket_of(value), value)
+
+    def _add(self, index: int, value: float) -> None:
+        """Count an already floored ``value`` into bucket ``index``."""
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
@@ -131,8 +134,13 @@ class SLOTracker:
         self.reassigned: Dict[str, int] = {name: 0 for name in tenant_names}
 
     def observe(self, tenant: str, latency: float) -> None:
-        self.tenants[tenant].observe(latency)
-        self.overall.observe(latency)
+        # One bucket computation feeds both histograms: the same floor and
+        # the same index LatencyHistogram.observe would compute for each.
+        if latency <= 0.0:
+            latency = 5e-324
+        index = LatencyHistogram.bucket_of(latency)
+        self.tenants[tenant]._add(index, latency)
+        self.overall._add(index, latency)
         self.completed[tenant] += 1
 
     def goodput(self, tenant: str, elapsed: float) -> float:

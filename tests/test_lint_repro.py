@@ -204,6 +204,36 @@ def test_bare_except_flagged_named_allowed(tmp_path):
     assert rules_of(lint_source(tmp_path, source)) == ["bare-except"]
 
 
+# -- identity-order -----------------------------------------------------------
+def test_identity_order_flags_id_keyed_sort(tmp_path):
+    source = (
+        "jobs = {}\n"
+        "def admit(clone):\n"
+        "    jobs[id(clone)] = clone\n"
+        "def lost():\n"
+        "    return [jobs[key] for key in sorted(jobs)]\n"
+        "order = sorted(jobs.values(), key=id)\n"
+        "text = 'id(s) in a string are fine'\n"
+    )
+    errors = lint_source(tmp_path, source)
+    assert rules_of(errors) == ["identity-order"] * 2
+    assert "fixture.py:3" in errors[0]
+    assert "fixture.py:6" in errors[1]
+
+
+def test_identity_order_suppressible_and_method_named_id_allowed(tmp_path):
+    source = (
+        "key = id(object())  # lint: allow-identity-order\n"
+        "node = tree.id(3)\n"
+    )
+    assert lint_source(tmp_path, source) == []
+
+
+def test_repo_source_has_no_identity_order():
+    _, errors = lint_repro.lint_paths([REPO_ROOT / "src" / "repro"], REPO_ROOT)
+    assert not [err for err in errors if "[identity-order]" in err]
+
+
 # -- process-isolation --------------------------------------------------------
 def test_process_isolation_flags_mp_imports_and_pid_reads(tmp_path):
     source = (

@@ -11,6 +11,9 @@ change.  The CPU-model pins at the end are exact (``float.hex()``): they
 guard the scheduler's fast paths, which must not move a single bit.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps import (
@@ -137,3 +140,115 @@ def test_exact_pin_cpu_model(name):
         "util": [m.cpu.utilization().hex() for m in machines],
     }
     assert got == EXACT_PINS[name]
+
+
+# -- exact pins of the traffic layer -----------------------------------------
+# One two-tenant elastic run per dispatch policy: tenant "a" is Poisson with
+# Pareto(1.5) service behind a token-bucket quota, tenant "b" is a bursty
+# MMPP with exponential service.  Each pin hashes the canonical result plus
+# the metrics series, and pins the overall mean bit for bit, the event and
+# cancellation counts, and the insertion order of the ``trf`` stat keys
+# (the order ``StatSet.snapshot`` reports them in).
+_SINGLE_KEYS = [
+    "servers_added", "requests_offered", "requests_admitted", "clones_dispatched",
+    "requests_completed", "requests_rejected", "servers_removed",
+    "request_work.count", "request_work.mean", "request_work.total",
+    "request_work.min", "request_work.max",
+    "response_time.count", "response_time.mean", "response_time.total",
+    "response_time.min", "response_time.max",
+]
+_CLONE_KEYS = [
+    "servers_added", "requests_offered", "requests_admitted", "requests_cloned",
+    "clones_dispatched", "clones_cancelled", "requests_completed",
+    "requests_rejected", "servers_removed",
+    "request_work.count", "request_work.mean", "request_work.total",
+    "request_work.min", "request_work.max",
+    "response_time.count", "response_time.mean", "response_time.total",
+    "response_time.min", "response_time.max",
+]
+TRAFFIC_PINS = {
+    "random": {
+        "sha256": "3799bc12d65abc60008850b0742a24f70186907743be0d19541a123501f75d93",
+        "mean": "0x1.3c8fa88ccc83fp+1",
+        "sim_events": 6153,
+        "events_cancelled": 1659,
+        "stat_keys": _SINGLE_KEYS,
+    },
+    "rr": {
+        "sha256": "bb64e17d9d0ada2c9fda23e7f1ffbd7d7d5d0074cb371b5f75cb81e794989f37",
+        "mean": "0x1.ca14af544fff2p+0",
+        "sim_events": 6153,
+        "events_cancelled": 1232,
+        "stat_keys": _SINGLE_KEYS,
+    },
+    "jsq": {
+        "sha256": "39b2ad8147f3c19ece0b041e9ccc9588e8251a6918e99eba97f583c1e7cf0f4e",
+        "mean": "0x1.5075afea9e168p+0",
+        "sim_events": 6153,
+        "events_cancelled": 830,
+        "stat_keys": _SINGLE_KEYS,
+    },
+    "lwl": {
+        "sha256": "979a62b4edfd0b10069d8fc28c9b98bf43c2502a0283a336880fd45c71712692",
+        "mean": "0x1.546671fe6f7edp+0",
+        "sim_events": 6153,
+        "events_cancelled": 972,
+        "stat_keys": _SINGLE_KEYS,
+    },
+    "clone-2": {
+        "sha256": "97a62f7e510f8c1d988db32175c74efcba2c7962600e3bb4c51cfcf59d3651c6",
+        "mean": "0x1.a673dad807de0p-1",
+        "sim_events": 6153,
+        "events_cancelled": 5114,
+        "stat_keys": _CLONE_KEYS,
+    },
+    "clone-3": {
+        "sha256": "5fa862a1258c107b784ee19e3dc954127a70a48b6a59c0a1583d982ac63b5983",
+        "mean": "0x1.30796e6646111p-1",
+        "sim_events": 6153,
+        "events_cancelled": 8630,
+        "stat_keys": _CLONE_KEYS,
+    },
+}
+
+
+def _traffic_pin_config(policy):
+    from repro.traffic import (
+        ElasticConfig, Exponential, MMPPArrivals, Pareto, PoissonArrivals,
+        QuotaConfig, TenantSpec, TrafficConfig,
+    )
+
+    return TrafficConfig(
+        tenants=(
+            TenantSpec("a", PoissonArrivals(2.0), Pareto(alpha=1.5, mean=1.0), 1500,
+                       quota=QuotaConfig(rate=1.8, burst=10.0)),
+            TenantSpec("b", MMPPArrivals(rates=(1.0, 4.0), dwells=(9.0, 1.0)),
+                       Exponential(1.0), 1500),
+        ),
+        n_servers=6,
+        policy=policy,
+        seed=5,
+        elastic=ElasticConfig(3, 12, 20.0),
+        metrics_interval=5.0,
+        obs_trace=True,
+        span_sample=100,
+    )
+
+
+@pytest.mark.parametrize("policy", sorted(TRAFFIC_PINS))
+def test_exact_pin_traffic(policy):
+    from repro.traffic import TrafficEngine
+
+    engine = TrafficEngine(_traffic_pin_config(policy))
+    result = engine.run()
+    blob = json.dumps(
+        {"canonical": result.canonical(), "series": result.series}, sort_keys=True
+    )
+    got = {
+        "sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "mean": result.overall["mean"].hex(),
+        "sim_events": result.sim_events,
+        "events_cancelled": engine.sim.events_cancelled,
+        "stat_keys": list(result.stats),
+    }
+    assert got == TRAFFIC_PINS[policy]

@@ -8,6 +8,7 @@ event's callback list.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import AllOf, AnyOf, Event, Simulator
 
@@ -168,3 +169,108 @@ def test_cancelled_event_visible_in_census_counter():
     sim.run_all()
     assert sim.events_cancelled == 3
     assert sim.events_processed == 1
+
+
+# -- Timeout.rearm ------------------------------------------------------------
+#: one step of a timer schedule: (wait before acting, timer index, delay);
+#: a delay of None cancels the timer.  Small integer grids make equal-time
+#: ties between timers, schedule wake-ups and callbacks the common case.
+_TIMER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+        st.integers(0, 3),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])),
+    ),
+    max_size=60,
+)
+
+
+def _drive_timers(steps, use_rearm):
+    """Run ``steps`` against four owner-held timers; return what we saw.
+
+    A firing re-arms the next timer at the same delay (at most two hops
+    per chain), as a PS server's departure re-arms its timer from inside
+    the callback.  ``use_rearm``
+    moves a pending timer with :meth:`Timeout.rearm`; otherwise it is
+    cancelled and replaced by a fresh :meth:`Simulator.timeout`.
+    """
+    sim = Simulator()
+    timers = [None] * 4
+    fired = []
+
+    hops = [0] * 4
+
+    def arm(i, delay, hop=2):
+        hops[i] = hop
+        timer = timers[i]
+        if timer is not None and use_rearm:
+            timer.rearm(delay)
+            return
+        if timer is not None:
+            timer.cancel()
+        timers[i] = sim.timeout(delay, name=f"t{i}")
+        timers[i].callbacks.append(lambda ev, i=i: on_fire(i, ev.delay))
+
+    def on_fire(i, delay):
+        fired.append((sim.now, i))
+        timers[i] = None
+        if hops[i]:
+            arm((i + 1) % 4, delay, hops[i] - 1)
+
+    def schedule():
+        for wait, i, delay in steps:
+            if wait:
+                yield sim.timeout(wait)
+            if delay is None:
+                if timers[i] is not None:
+                    timers[i].cancel()
+                    timers[i] = None
+            else:
+                arm(i, delay)
+
+    sim.process(schedule())
+    sim.run(max_events=10_000)
+    return fired, sim.events_cancelled, sim.events_processed, sim._seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_TIMER_STEPS)
+def test_rearm_equals_cancel_plus_timeout(steps):
+    """Same dispatch order, cancellation and event counts, and final
+    sequence number whether a pending timer is moved or replaced."""
+    assert _drive_timers(steps, use_rearm=True) == _drive_timers(steps, use_rearm=False)
+
+
+def test_rearm_keeps_callbacks_name_and_pool():
+    sim = Simulator()
+    seen = []
+    t = sim.timeout(5.0, name="dep")
+    t.callbacks.append(lambda ev: seen.append((sim.now, ev.name)))
+    pool = list(sim._timeout_pool)
+    t.rearm(2.0)
+    assert sim._timeout_pool == pool
+    assert sim.events_cancelled == 1
+    assert sim._seq == 2
+    sim.run_all()
+    assert seen == [(2.0, "dep")]
+    assert sim.events_processed == 1
+
+
+def test_rearm_fired_or_cancelled_timeout_raises():
+    sim = Simulator()
+    fired = sim.timeout(1.0)
+    sim.run_all()
+    with pytest.raises(RuntimeError, match="fired or been cancelled"):
+        fired.rearm(1.0)
+    cancelled = sim.timeout(1.0)
+    cancelled.cancel()
+    with pytest.raises(RuntimeError, match="fired or been cancelled"):
+        cancelled.rearm(1.0)
+    live = sim.timeout(1.0)
+    with pytest.raises(ValueError):
+        live.rearm(-1.0)
+    # None of the refused calls touched the heap or the counters.
+    assert [entry[3] for entry in sim._queue if entry[3] is not None] == [live]
+    assert sim.events_cancelled == 1
+    sim.run_all()
+    assert sim.now == 2.0 and sim.events_processed == 2

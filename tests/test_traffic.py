@@ -9,11 +9,14 @@ elasticity, crash reassignment, the SSI service directory, and the
 full-stack cluster backend.
 """
 
+import hashlib
 import json
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.resilience.campaign import CrashPlan
@@ -210,6 +213,59 @@ def test_make_policy_spellings():
         make_policy("clone-1")
 
 
+_CLUSTER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), st.integers(0, 11), st.integers(1, 3)),
+        st.tuples(st.just("remove"), st.integers(0, 11), st.just(1)),
+        st.tuples(st.just("grow"), st.integers(1, 3), st.just(0)),
+        st.tuples(st.just("shrink"), st.integers(1, 3), st.just(0)),
+        st.tuples(st.just("crash"), st.integers(1, 11), st.just(0)),
+        st.tuples(st.just("restart"), st.integers(1, 11), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_servers=st.integers(1, 6), ops=_CLUSTER_OPS)
+def test_jsq_loop_matches_min_with_key(n_servers, ops):
+    """JSQ's plain loop picks what ``min(active, key=(queue_len, id))``
+    picks, on queue states built by admits, removals and membership churn
+    (ties are common: queues stay a few jobs deep)."""
+    from repro.sim import Simulator
+    from repro.traffic.service import Clone, VirtualCluster
+
+    sim = Simulator()
+    cluster = VirtualCluster(sim, n_servers, max_servers=8)
+    servers = cluster.servers
+    policy = make_policy("jsq")
+
+    def check():
+        want = min(cluster.active, key=lambda i: (servers[i].queue_len, i))
+        assert policy.select(cluster, None, sim.now) == [want]
+
+    check()
+    for op, a, b in ops:
+        if op == "admit":
+            server = servers[cluster.active[a % len(cluster.active)]]
+            for _ in range(b):
+                server.admit(Clone(None, 1.0), sim.now)
+        elif op == "remove":
+            server = servers[a % len(servers)]
+            if server.jobs:
+                server.remove(next(iter(server.jobs)), sim.now)
+        elif op == "grow":
+            cluster.grow(a)
+        elif op == "shrink":
+            cluster.shrink(a)
+        elif op == "crash":
+            if len(servers) > 1:  # server 0 is the un-crashable anchor
+                cluster.crash(1 + a % (len(servers) - 1))
+        else:
+            cluster.restart(a % len(servers))
+        check()
+
+
 def test_config_validation_fails_fast():
     spec = TenantSpec("t", PoissonArrivals(1.0), Exponential(1.0), 10)
     with pytest.raises(ConfigurationError):
@@ -403,6 +459,61 @@ def test_crash_reassigns_and_every_request_completes():
     assert engine._outstanding == 0
     for server in engine.cluster.servers:
         assert server.jobs == {}
+
+
+def _crash_campaign_config():
+    """Four crashes (servers 1, 2, 3, then 1 again) at rho=0.95 on 4 servers."""
+    return TrafficConfig(
+        tenants=(TenantSpec(
+            "t", PoissonArrivals(0.95 * 4), Pareto(alpha=1.5, mean=1.0), 20000,
+        ),),
+        n_servers=4,
+        policy="random",
+        seed=13,
+        crashes=tuple(
+            CrashPlan(kernel_id=k, at=at, restart_after=300.0)
+            for k, at in zip((1, 2, 3, 1), (2000.0, 3000.0, 4000.0, 5000.0))
+        ),
+    )
+
+
+def _canonical_sha(result):
+    blob = json.dumps(result.canonical(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: canonical digest of the crash campaign; its 185 reassignment draws go to
+#: the lost clones in admission order
+CRASH_CAMPAIGN_SHA = "760f86aa2529dd76187adb2c6d919e5acdee1eefb5544896bd87fded4504527e"
+
+
+def test_crash_reassignment_independent_of_memory_layout():
+    """Lost clones are reassigned in admission order, never heap-address
+    order: repeated runs with different allocations in between, and a
+    fresh interpreter, all give the same canonical result."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    ballast = []
+    digests = []
+    for n_objects in (0, 5000, 777):
+        ballast.append([object() for _ in range(n_objects)])
+        result = run_traffic(_crash_campaign_config())
+        assert result.stats["requests_reassigned"] == 185
+        digests.append(_canonical_sha(result))
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import tests.test_traffic as t\n"
+        "print(t._canonical_sha(t.run_traffic(t._crash_campaign_config())))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(src.parent)]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    digests.append(out.stdout.strip())
+    assert digests == [CRASH_CAMPAIGN_SHA] * 4
 
 
 # -- observability ------------------------------------------------------------

@@ -42,6 +42,12 @@ Rules (all reported as ``path:line: [rule] message``):
   (``repro/experiments/parallel.py``).  Anywhere else, host process
   identity or topology leaking into model code is a determinism hazard:
   results would depend on how the run was executed, not on the config.
+* **identity-order** — every ``id(...)`` call, and every other use of
+  the builtin ``id`` (``key=id``), is flagged.  ``id()`` values are heap
+  addresses, so a dict keyed by them, or a list sorted by them,
+  orders its items differently from run to run (and with whatever else
+  the host process allocated first).  Key by the object itself, or keep
+  an explicit order such as admission order.
 
 Cross-file **protocol wiring** checks (run against the repo as a whole;
 reported with the same ``path:line: [rule] message`` shape):
@@ -282,6 +288,17 @@ class _Linter(ast.NodeVisitor):
                 "repro/experiments/parallel.py (the sanctioned "
                 "host-parallelism layer); model code must stay "
                 "single-process deterministic",
+            )
+
+    # -- rule: identity-order -------------------------------------------------
+    def visit_Name(self, node: ast.Name) -> None:
+        # Catches ``id(x)`` (the call's func) and ``key=id`` alike.
+        if node.id == "id" and isinstance(node.ctx, ast.Load):
+            self._report(
+                node, "identity-order",
+                "id() is a heap address; any key or order built from it "
+                "varies from run to run — key by the object itself or keep "
+                "an explicit order",
             )
 
     # -- visitors ------------------------------------------------------------
