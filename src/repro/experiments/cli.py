@@ -49,15 +49,6 @@ byte-identical), or the full-stack cluster variant with ``--cluster``
     dse-experiments loss-sweep --loss 0,0.02,0.05 --transports reliable,sr
     dse-experiments loss-sweep --fabric ethernet --messages 400
 
-The ``profile-engine`` subcommand runs a workload (or an engine
-micro-bench) under the event-loop profiler and prints where the host CPU
-went: dispatch counts/time per event type, hot callback sites, and the
-callback fan-out histogram (see :mod:`repro.perf` and
-``docs/performance.md``)::
-
-    dse-experiments profile-engine --workload gauss-seidel --processors 6
-    dse-experiments profile-engine --bench ps_churn
-
 The ``check`` subcommand model-checks the transport/coherence protocol
 state machines over bounded scopes: it exhaustively enumerates every
 delivery order, loss, and duplication decision, checks safety invariants
@@ -216,58 +207,6 @@ def _trace_main(argv: List[str]) -> int:
     return status
 
 
-def _profile_engine_main(argv: List[str]) -> int:
-    """Profile the event loop under one workload or engine micro-bench."""
-    import importlib
-
-    from ..perf import BENCHES, EngineProfiler
-
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments profile-engine",
-        description="Profile Simulator.run: event types, hot sites, fan-out.",
-    )
-    parser.add_argument(
-        "--workload", choices=sorted(_TRACE_WORKLOADS), default=None,
-        help="profile one end-to-end workload (default: gauss-seidel)",
-    )
-    parser.add_argument(
-        "--bench", choices=sorted(BENCHES), default=None,
-        help="profile one canonical engine bench scenario instead",
-    )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", default="sunos")
-    parser.add_argument(
-        "--top", type=int, default=12, help="callback sites to show (default 12)"
-    )
-    args = parser.parse_args(argv)
-    if args.workload and args.bench:
-        parser.error("--workload and --bench are mutually exclusive")
-
-    if args.bench:
-        with EngineProfiler() as profiler:
-            BENCHES[args.bench]()
-        print(f"profile of engine bench {args.bench!r}:\n")
-    else:
-        from ..dse.config import ClusterConfig
-        from ..dse.runtime import run_parallel
-        from ..hardware.platforms import get_platform
-
-        workload = args.workload or "gauss-seidel"
-        module_name, attr, worker_args = _TRACE_WORKLOADS[workload]
-        worker = getattr(importlib.import_module(module_name), attr)
-        config = ClusterConfig(
-            platform=get_platform(args.platform), n_processors=args.processors
-        )
-        with EngineProfiler() as profiler:
-            result = run_parallel(config, worker, args=worker_args)
-        print(
-            f"profile of {workload} p={args.processors} on {args.platform} "
-            f"(elapsed {result.elapsed:.6f}s simulated):\n"
-        )
-    print(profiler.profile.render(top=args.top))
-    return 0
-
-
 def _loss_sweep_main(argv: List[str]) -> int:
     """Tabulate transport goodput under Gilbert–Elliott burst loss."""
     from ..perf.netbench import CANONICAL, LOSS_POINTS, TRANSPORTS, sweep_rows
@@ -343,8 +282,6 @@ def main(argv: List[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "profile-engine":
-        return _profile_engine_main(argv[1:])
     if argv and argv[0] == "loss-sweep":
         return _loss_sweep_main(argv[1:])
     if argv and argv[0] == "traffic":

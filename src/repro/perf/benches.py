@@ -16,7 +16,7 @@ first prove it timed the *same* computation.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 __all__ = ["BENCHES", "MICRO_BENCHES", "run_bench", "time_bench"]
 
@@ -150,12 +150,10 @@ def time_bench(name: str, repeats: int = 5) -> Tuple[float, Dict[str, float]]:
     fn = BENCHES[name]
     best = float("inf")
     outcome: Dict[str, float] = {}
-    walls: List[float] = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         outcome = fn()
         wall = time.perf_counter() - t0
-        walls.append(wall)
         if wall < best:
             best = wall
     return best, outcome

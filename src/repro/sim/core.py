@@ -17,7 +17,7 @@ increasing sequence number, and all randomness flows through seeded streams
 (:mod:`repro.sim.rng`).
 
 Large virtual clusters (hundreds of kernels) put millions of events through
-this loop, so the engine has a deliberate fast path (profiled with
+this loop, so the engine has a deliberate fast path (benchmarked with
 :mod:`repro.perf`; see ``docs/performance.md``):
 
 * heap entries are mutable ``[time, priority, seq, event]`` slots, and

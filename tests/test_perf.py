@@ -1,17 +1,23 @@
-"""Tests for the perf layer: profiler fidelity, bench pins, the committed
-trajectory gate, and the engine fast paths (Timeout pooling)."""
+"""Tests for the perf layer: bench pins, the committed BENCH_*.json gates
+in tools/check_bench.py, and the engine fast paths (Timeout pooling)."""
 
+import copy
+import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.perf import BENCHES, MICRO_BENCHES, EngineProfiler, run_bench
+from repro.perf import BENCHES, MICRO_BENCHES, run_bench
 from repro.sim import Simulator, Timeout
 
 REPO = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "check_bench", REPO / "tools" / "check_bench.py"
+)
+check_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_bench)
 
 #: exact simulated outcomes of the engine micro-benches.  These pins were
 #: captured on the PRE-optimisation engine and must never drift: the fast
@@ -50,87 +56,124 @@ def test_ps_solo_outcome_bit_identical_to_general_ps_path():
     assert "ps_solo" not in MICRO_BENCHES
 
 
-# -- profiler fidelity --------------------------------------------------------
-def test_profiler_changes_no_simulated_outcome():
-    plain = run_bench("ps_churn")
-    with EngineProfiler() as prof:
-        profiled = run_bench("ps_churn")
-    assert profiled == plain
-    assert prof.profile.events_processed == plain["events"]
-    assert prof.profile.events_cancelled == plain["cancelled"]
-
-
-def test_profiler_counts_and_attribution():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1.0)
-        yield sim.timeout(2.0)
-
-    with EngineProfiler() as prof:
-        sim.process(proc())
-        sim.run_all()
-    p = prof.profile
-    assert p.events_processed == sim.events_processed
-    assert p.by_type["Timeout"].count == 2
-    assert p.by_type["Initialize"].count == 1
-    assert any("Process._resume" in site for site in p.by_site)
-    assert sum(p.fanout.values()) == p.events_processed
-    assert p.wall_ns > 0
-
-
-def test_profiler_render_has_all_sections():
-    with EngineProfiler() as prof:
-        run_bench("timeout_chain")
-    text = prof.profile.render()
-    assert "dispatch by event type" in text
-    assert "hot callback sites" in text
-    assert "callback fan-out histogram" in text
-    assert "events dispatched" in text
-
-
-def test_profiler_restores_run_and_rejects_nesting():
-    original = Simulator.run
-    with EngineProfiler() as prof:
-        assert Simulator.run is not original
-        with pytest.raises(RuntimeError):
-            prof.__enter__()
-    assert Simulator.run is original
-
-
-def test_profiler_preserves_until_event_semantics():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1.5)
-        return "done"
-
-    p = sim.process(proc())
-    with EngineProfiler():
-        assert sim.run(p) == "done"
-    assert sim.now == 1.5
-
-
 # -- the committed perf trajectory --------------------------------------------
 def test_committed_trajectory_shows_fast_path_speedups():
     payload = json.loads((REPO / "BENCH_engine.json").read_text())
-    trajectory = payload["trajectory"]
-    assert len(trajectory) >= 2, "need pre- and post-optimisation entries"
-    first, last = trajectory[0]["results"], trajectory[-1]["results"]
-    for name in MICRO_BENCHES:
-        # The acceptance bar: >= 1.3x wall-clock on every engine micro-bench.
-        assert first[name]["wall"] / last[name]["wall"] >= 1.3, name
-        # ... for the *same* simulated computation, bit for bit.
-        for fld in ("sim_now", "events", "cancelled"):
-            assert first[name][fld] == last[name][fld], (name, fld)
+    pairs = check_bench.speedup_pairs(payload["trajectory"])
+    assert pairs, "need pre- and post-optimisation entries on one host"
+    for first, last in pairs:
+        first, last = first["results"], last["results"]
+        for name in MICRO_BENCHES:
+            # The acceptance bar: >= 1.3x wall-clock on every engine micro-bench.
+            assert first[name]["wall"] / last[name]["wall"] >= 1.3, name
+            # ... for the *same* simulated computation, bit for bit.
+            for fld in ("sim_now", "events", "cancelled"):
+                assert first[name][fld] == last[name][fld], (name, fld)
 
 
 def test_committed_baseline_matches_live_outcomes():
     payload = json.loads((REPO / "BENCH_engine.json").read_text())
     latest = payload["trajectory"][-1]["results"]
-    for name, pin in MICRO_PINS.items():
+    for name, pin in {**MICRO_PINS, "ps_solo": PS_SOLO_PIN}.items():
         for fld, value in pin.items():
             assert latest[name][fld] == value, (name, fld)
+
+
+def _trajectory_copy(tmp_path, suite):
+    path = tmp_path / check_bench.SUITES[suite].baseline.name
+    path.write_text(check_bench.SUITES[suite].baseline.read_text())
+    return path
+
+
+def test_trajectory_speedups_pair_entries_of_one_host_stamp(tmp_path, capsys):
+    path = _trajectory_copy(tmp_path, "engine")
+    payload = json.loads(path.read_text())
+    first = payload["trajectory"][0]
+    slower = copy.deepcopy(first)
+    for outcome in slower["results"].values():
+        outcome["wall"] *= 10
+    gate = ["--trajectory", "--require-speedup", "1.3", "--baseline", str(path)]
+
+    # one entry per host stamp leaves nothing to gate: fail, don't pass
+    path.write_text(json.dumps({**payload, "trajectory": [first]}))
+    assert check_bench.main(gate) == 1
+    assert "no host stamp has two entries" in capsys.readouterr().err
+
+    # a slower entry from another host is no regression of this one
+    payload["trajectory"].append({**slower, "machine": "other-host", "cpus": 64})
+    path.write_text(json.dumps(payload))
+    assert check_bench.main(gate) == 0
+
+    # ... but on the first entry's own host stamp it is
+    payload["trajectory"].append(slower)
+    path.write_text(json.dumps(payload))
+    assert check_bench.main(gate) == 1
+
+
+def _no_measuring(args):
+    raise AssertionError("--trajectory must not measure")
+
+
+@pytest.mark.parametrize("suite", ["transport", "traffic"])
+def test_trajectory_flag_measures_nothing_in_any_suite(suite, monkeypatch, capsys):
+    suites = check_bench.SUITES
+    monkeypatch.setitem(suites, suite, suites[suite]._replace(measure=_no_measuring))
+    assert check_bench.main(["--suite", suite, "--trajectory"]) == 0
+    label = check_bench.load_trajectory(suites[suite].baseline)[-1]["label"]
+    assert label in capsys.readouterr().out
+
+
+def test_record_refuses_an_entry_that_fails_a_gate(tmp_path, monkeypatch):
+    path = _trajectory_copy(tmp_path, "transport")
+    committed = check_bench.load_trajectory(path)[-1]["results"]
+    suites = check_bench.SUITES
+    monkeypatch.setitem(suites, "transport", suites["transport"]._replace(
+        measure=lambda args: (committed, {})))
+    before = path.read_text()
+    argv = ["--suite", "transport", "--record", "--baseline", str(path)]
+
+    assert check_bench.main(argv + ["--require-ratio", "1000"]) == 1
+    assert path.read_text() == before
+
+    assert check_bench.main(argv + ["--label", "passes"]) == 0
+    recorded = check_bench.load_trajectory(path)
+    assert len(recorded) == 2 and recorded[-1]["label"] == "passes"
+    assert recorded[-1]["results"] == committed
+
+
+#: one exact field per suite to perturb in the compare test
+_EXACT_PROBES = {"engine": "events", "transport": "retransmissions",
+                 "traffic": "p99"}
+
+
+@pytest.mark.parametrize("suite", sorted(_EXACT_PROBES))
+def test_compare_flags_exact_mismatch_wall_regression_and_param_skip(suite, capsys):
+    wall = check_bench.SUITES[suite].wall
+    trajectory = check_bench.load_trajectory(check_bench.SUITES[suite].baseline)
+    latest = trajectory[-1]
+    params = {"n_requests": latest["n_requests"]} if suite == "traffic" else {}
+
+    def compare(results, params=params, tolerance=0.15):
+        return check_bench.compare(results, params, trajectory, wall, tolerance)
+
+    assert compare(latest["results"]) == 0
+
+    perturbed = copy.deepcopy(latest["results"])
+    name = sorted(perturbed)[0]
+    perturbed[name][_EXACT_PROBES[suite]] += 1
+    assert compare(perturbed) == 1
+    assert "DETERMINISM MISMATCH" in capsys.readouterr().out
+
+    if wall:
+        slower = copy.deepcopy(latest["results"])
+        slower[name]["wall"] *= 1.5
+        assert compare(slower) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+        assert compare(slower, tolerance=0.6) == 0
+
+    if params:
+        assert compare(perturbed, params={"n_requests": 6_000}) == 0
+        assert "skipping the comparison" in capsys.readouterr().out
 
 
 # -- engine fast paths ---------------------------------------------------------
@@ -187,16 +230,3 @@ def test_run_skips_cancelled_head_and_counts_it():
     assert sim.now == 2.0
     assert sim.events_processed == 1
     assert sim.events_cancelled == 1
-
-
-# -- CLI ----------------------------------------------------------------------
-def test_profile_engine_cli_smoke():
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.cli", "profile-engine",
-         "--bench", "bus_contention"],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert "dispatch by event type" in out.stdout
-    assert "EthernetBus" in out.stdout or "Process._resume" in out.stdout

@@ -1,47 +1,54 @@
 #!/usr/bin/env python
-"""Benchmark gates: record and compare the committed perf trajectories.
+"""Benchmark gates: measure, compare and record the committed BENCH_*.json suites.
 
-Three suites, selected with ``--suite``:
+Three suites, selected with ``--suite``, each one :class:`Suite` entry in
+``SUITES`` run by the one loop in :func:`main`:
 
 * ``engine`` (default) — wall-clock measurements of the canonical engine
   scenarios (:mod:`repro.perf.benches`), committed in ``BENCH_engine.json``.
+  Its one wall field is ``wall``; no gates.
 * ``transport`` — the transport x burst-loss goodput matrix
   (:mod:`repro.perf.netbench`), committed in ``BENCH_transport.json``.
-  Every field is *simulated* and therefore machine-independent: CI
-  compares the whole matrix exactly, and ``--require-ratio`` (default 10)
-  gates the selective-repeat speed-up over stop-and-wait at the canonical
-  burst-loss point.
+  All simulated; gates the selective-repeat and dual speed-ups over
+  stop-and-wait at the canonical burst-loss point at ``--require-ratio``
+  (default 10).
 * ``traffic`` — the dispatch-policy x load response-time matrix
   (:mod:`repro.traffic.bench`), committed in ``BENCH_traffic.json``.
-  Also all-simulated/exact; additionally gates the PS request-cloning
-  report's orderings (clone-2 beats random on the heavy tail, loses on
-  deterministic service) and the simulated-vs-analytic error within
-  ``--tolerance`` of the closed forms.  ``--smoke`` runs a tenth of the
-  requests and keeps only the ordering gates (see ``SMOKE_NO_ANALYTIC``).
+  All simulated; gates the PS request-cloning report's orderings and the
+  simulated-vs-analytic error within ``--tolerance`` of the closed forms.
+  ``--smoke`` runs a tenth of the requests and keeps only the ordering
+  gates (see ``SMOKE_NO_ANALYTIC``).
 
-The engine suite has three modes:
+All three files share one schema::
 
-record
-    ``python tools/check_bench.py --record --label "post-PR5 fast paths"``
-    appends a fresh measurement to the trajectory, stamped with the
-    machine, the Python version and the CPU count.
+    {"benches": [...],
+     "trajectory": [{"label", "machine", "python", "cpus", <params>,
+                     "results": {bench: {field: value}}}]}
+
+where ``<params>`` are the run parameters a comparison must agree on
+(traffic's ``n_requests``; none for the others).  Every run measures, then
+runs the suite's gates, then does one of:
 
 compare (default)
-    Runs the scenarios fresh and compares against the *latest* committed
-    entry: the deterministic fields (simulated clock, events processed,
-    events cancelled) must match **exactly** — a mismatch means the engine's
-    behaviour changed, not just its speed — and wall-clock must not regress
-    by more than ``--tolerance`` (default 15%).  Wall-clock baselines are
-    machine-dependent; on foreign hardware (CI) pass a generous tolerance
-    and rely on the exact deterministic-field comparison, which is
-    machine-independent.
+    Compares against the latest committed entry with equal params.  Every
+    field except the suite's wall fields must match **exactly** — a
+    mismatch means behaviour changed, not just speed — and each wall field
+    must not regress by more than ``--tolerance`` (default 15%).  Wall
+    baselines are machine-dependent; on foreign hardware (CI) pass a
+    generous tolerance and rely on the exact fields.
 
-trajectory
-    ``--trajectory`` prints the committed history and the first->last
-    speed-up per bench; ``--require-speedup X`` additionally gates the
-    micro-benches at >= X (the PR-5 acceptance bar is 1.3).
+record
+    ``python tools/check_bench.py --record --label "my change"`` appends
+    the measurement, stamped with the machine, the Python version and the
+    CPU count.  An entry that fails a gate is refused.
 
-Exit status is non-zero on any regression/mismatch.
+``--trajectory`` measures nothing: it prints the committed history and,
+within each group of entries sharing a host stamp (machine, Python, CPU
+count), the first->last speed-up of every wall field.  ``--require-speedup
+X`` gates the engine micro-benches at >= X and fails if no group has two
+entries to compare.
+
+Exit status is non-zero on any failed gate, mismatch or regression.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -59,15 +67,11 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.perf.benches import BENCHES, MICRO_BENCHES, time_bench  # noqa: E402
 from repro.perf.netbench import matrix_ratios, run_matrix  # noqa: E402
 
-DEFAULT_BASELINE = REPO / "BENCH_engine.json"
-TRANSPORT_BASELINE = REPO / "BENCH_transport.json"
-TRAFFIC_BASELINE = REPO / "BENCH_traffic.json"
-
 #: the canonical gate points for --suite transport (loss point 0.02)
 _GATE_KEYS = ("sr@0.02", "dual@0.02")
 
-#: deterministic outcome fields compared exactly between runs
-_EXACT_FIELDS = ("sim_now", "events", "cancelled")
+#: requests per traffic matrix point (``--smoke`` runs a tenth)
+TRAFFIC_REQUESTS = 60_000
 
 #: why ``--suite traffic --smoke`` skips the closed-form error checks
 SMOKE_NO_ANALYTIC = (
@@ -76,6 +80,9 @@ SMOKE_NO_ANALYTIC = (
     "bound (hostbench measured -12%..+22% over 20 seeds even at 10^5 "
     "requests); the full suite keeps them"
 )
+
+Results = Dict[str, Dict[str, float]]
+Gates = List[Tuple[str, bool]]
 
 
 def stamp(label: str) -> dict:
@@ -88,20 +95,28 @@ def stamp(label: str) -> dict:
     }
 
 
-def measure(repeats: int) -> dict:
-    """Time every scenario; returns name -> {wall, sim_now, events, ...}."""
+def host_stamp(entry: dict) -> tuple:
+    """The host an entry was measured on; entries without ``cpus`` group apart."""
+    return entry.get("machine"), entry.get("python"), entry.get("cpus")
+
+
+def engine_benches(args) -> Tuple[Results, dict]:
+    """Time every engine scenario; returns name -> {wall, sim_now, events, ...}."""
+    repeats = 2 if args.smoke else args.repeats
+    print(f"measuring engine benches (best of {repeats}):")
     results = {}
     for name in BENCHES:
         reps = repeats if name in MICRO_BENCHES else max(2, repeats // 2)
         wall, outcome = time_bench(name, repeats=reps)
         results[name] = {"wall": wall, **outcome}
-        print(f"  {name:>16}: {wall * 1000:8.2f} ms  "
+        print(f"  {name:>20}: {wall * 1000:8.2f} ms  "
               f"(events={outcome['events']}, cancelled={outcome['cancelled']})")
-    return results
+    return results, {}
 
 
-def measure_transport() -> dict:
-    """Run the deterministic transport x loss matrix; print a summary."""
+def transport_matrix(args) -> Tuple[Results, dict]:
+    """Run the deterministic transport x loss matrix."""
+    print("measuring transport x burst-loss matrix (simulated, exact):")
     results = run_matrix()
     ratios = matrix_ratios(results)
     for key, outcome in results.items():
@@ -110,36 +125,70 @@ def measure_transport() -> dict:
         status = "" if outcome["completed"] else "  DNF"
         print(f"  {key:>20}: goodput {outcome['goodput_mps']:10.1f} msg/s "
               f"over {outcome['sim_now']:.6f} s{extra}{status}")
-    return {"results": results, "ratios": ratios}
+    return results, {}
 
 
-def compare_transport(fresh: dict, base_entry: dict, require_ratio: float) -> int:
-    """Exact comparison (everything simulated) + speed-up gate."""
-    failures = 0
-    base = base_entry["results"]
-    print(f"\ncomparing against baseline entry {base_entry['label']!r}:")
-    for key, cur in fresh["results"].items():
-        ref = base.get(key)
-        if ref is None:
-            print(f"  {key:>20}: NEW (no baseline)")
-            continue
-        if cur != ref:
-            diffs = {
-                fld: (cur.get(fld), ref.get(fld))
-                for fld in sorted(set(cur) | set(ref))
-                if cur.get(fld) != ref.get(fld)
-            }
-            print(f"  {key:>20}: DETERMINISM MISMATCH {diffs}")
-            failures += 1
-        else:
-            print(f"  {key:>20}: ok (exact)")
-    for key in _GATE_KEYS:
-        ratio = fresh["ratios"].get(key, 0.0)
-        ok = ratio >= require_ratio
-        print(f"  gate {key}: {ratio:g}x vs stop-and-wait "
-              f"[{'PASS' if ok else 'FAIL'} >= {require_ratio:g}x]")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+def transport_gates(results: Results, args) -> Gates:
+    """SR and dual must beat stop-and-wait by ``--require-ratio``."""
+    ratios = matrix_ratios(results)
+    return [
+        (f"{key}: {ratios.get(key, 0.0):g}x vs stop-and-wait "
+         f">= {args.require_ratio:g}x", ratios.get(key, 0.0) >= args.require_ratio)
+        for key in _GATE_KEYS
+    ]
+
+
+def _traffic_requests(args) -> int:
+    return TRAFFIC_REQUESTS // 10 if args.smoke else TRAFFIC_REQUESTS
+
+
+def traffic_matrix(args) -> Tuple[Results, dict]:
+    """Run the policy x load traffic matrix."""
+    from repro.traffic.bench import run_bench_matrix
+
+    n_requests = _traffic_requests(args)
+    print(f"measuring traffic policy x load matrix "
+          f"({n_requests} requests/point, simulated, exact):")
+    results = run_bench_matrix(n_requests=n_requests)
+    for key, outcome in sorted(results.items()):
+        analytic = outcome.get("analytic")
+        extra = f"  (analytic {analytic:.4f})" if analytic is not None else ""
+        print(f"  {key:>20}: mean {outcome['mean']:10.4f}  "
+              f"p99 {outcome['p99']:10.4f}{extra}")
+    return results, {"n_requests": n_requests}
+
+
+def traffic_gates(results: Results, args) -> Gates:
+    """The report's orderings, plus the closed forms outside smoke mode."""
+    from repro.traffic.bench import check_gates
+
+    if args.smoke:
+        print("  " + SMOKE_NO_ANALYTIC.format(n=_traffic_requests(args),
+                                              tol=args.tolerance * 100))
+    return check_gates(results, tolerance=args.tolerance,
+                       closed_forms=not args.smoke)
+
+
+class Suite(NamedTuple):
+    """One committed ``BENCH_*.json`` file and how to measure and gate it."""
+
+    baseline: Path
+    #: args -> (results, params); params must match for a comparison
+    measure: Callable[..., Tuple[Results, dict]]
+    #: fields compared within ``--tolerance``; every other field is exact
+    wall: Tuple[str, ...] = ()
+    #: (results, args) -> [(description, ok)]; a failed gate blocks --record
+    gates: Optional[Callable[..., Gates]] = None
+
+
+#: suite name -> Suite; adding a suite is one entry here
+SUITES = {
+    "engine": Suite(REPO / "BENCH_engine.json", engine_benches, wall=("wall",)),
+    "transport": Suite(REPO / "BENCH_transport.json", transport_matrix,
+                       gates=transport_gates),
+    "traffic": Suite(REPO / "BENCH_traffic.json", traffic_matrix,
+                     gates=traffic_gates),
+}
 
 
 def load_trajectory(path: Path) -> list:
@@ -148,187 +197,96 @@ def load_trajectory(path: Path) -> list:
     return json.loads(path.read_text())["trajectory"]
 
 
-def save_trajectory(path: Path, trajectory: list, benches=None) -> None:
-    payload = {
-        "benches": list(BENCHES) if benches is None else list(benches),
-        "trajectory": trajectory,
-    }
+def save_trajectory(path: Path, trajectory: list, benches) -> None:
+    payload = {"benches": sorted(benches), "trajectory": trajectory}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def compare(fresh: dict, base_entry: dict, tolerance: float) -> int:
-    """0 if fresh matches the baseline entry; 1 on mismatch/regression."""
-    failures = 0
+def compare(results: Results, params: dict, trajectory: list,
+            wall: Tuple[str, ...], tolerance: float) -> int:
+    """0 if results match the latest entry with equal params; 1 otherwise."""
+    matching = [e for e in trajectory
+                if all(e.get(k) == v for k, v in params.items())]
+    if not matching:
+        print(f"\n  (no committed entry has {params}: skipping the comparison)")
+        return 0
+    base_entry = matching[-1]
     base = base_entry["results"]
+    failures = 0
     print(f"\ncomparing against baseline entry {base_entry['label']!r}:")
-    for name, cur in fresh.items():
+    for name, cur in results.items():
         ref = base.get(name)
         if ref is None:
-            print(f"  {name:>16}: NEW (no baseline)")
+            print(f"  {name:>20}: NEW (no baseline)")
             continue
-        for fld in _EXACT_FIELDS:
-            if cur.get(fld) != ref.get(fld):
-                print(f"  {name:>16}: DETERMINISM MISMATCH {fld}: "
-                      f"{cur.get(fld)!r} != baseline {ref.get(fld)!r}")
-                failures += 1
-        ratio = cur["wall"] / ref["wall"] if ref["wall"] else float("inf")
-        verdict = "ok"
-        if ratio > 1.0 + tolerance:
-            verdict = f"REGRESSION (> {1.0 + tolerance:.2f}x allowed)"
+        diffs = {
+            fld: (cur.get(fld), ref.get(fld))
+            for fld in sorted(set(cur) | set(ref))
+            if fld not in wall and cur.get(fld) != ref.get(fld)
+        }
+        if diffs:
+            print(f"  {name:>20}: DETERMINISM MISMATCH {diffs}")
             failures += 1
-        print(f"  {name:>16}: {cur['wall'] * 1000:8.2f} ms vs "
-              f"{ref['wall'] * 1000:8.2f} ms baseline ({ratio:.2f}x) {verdict}")
+        elif not wall:
+            print(f"  {name:>20}: ok (exact)")
+        for fld in wall:
+            ratio = cur[fld] / ref[fld] if ref[fld] else float("inf")
+            verdict = "ok"
+            if ratio > 1.0 + tolerance:
+                verdict = f"REGRESSION (> {1.0 + tolerance:.2f}x allowed)"
+                failures += 1
+            print(f"  {name:>20}: {cur[fld] * 1000:8.2f} ms vs "
+                  f"{ref[fld] * 1000:8.2f} ms baseline ({ratio:.2f}x) {verdict}")
     return 1 if failures else 0
 
 
-def show_trajectory(trajectory: list, require_speedup: float | None) -> int:
-    if len(trajectory) < 1:
+def speedup_pairs(trajectory: list) -> List[Tuple[dict, dict]]:
+    """(first, last) entry of every host-stamp group with two or more entries."""
+    groups: Dict[tuple, list] = {}
+    for entry in trajectory:
+        groups.setdefault(host_stamp(entry), []).append(entry)
+    return [(group[0], group[-1]) for group in groups.values() if len(group) > 1]
+
+
+def show_trajectory(trajectory: list, wall: Tuple[str, ...],
+                    require_speedup: float | None) -> int:
+    if not trajectory:
         print("no committed trajectory entries")
         return 1
     for entry in trajectory:
         walls = "  ".join(
-            f"{n}={r['wall'] * 1000:.2f}ms" for n, r in sorted(entry["results"].items())
+            f"{n}={r[fld] * 1000:.2f}ms"
+            for n, r in sorted(entry["results"].items()) for fld in wall if fld in r
         )
-        print(f"{entry['label']:>28}: {walls}")
-    if len(trajectory) < 2:
-        return 0
-    first, last = trajectory[0]["results"], trajectory[-1]["results"]
-    failures = 0
-    print("\nfirst -> last speed-up:")
-    for name in BENCHES:
-        if name not in first or name not in last:
-            continue
-        speedup = first[name]["wall"] / last[name]["wall"]
-        gate = ""
-        if require_speedup is not None and name in MICRO_BENCHES:
-            ok = speedup >= require_speedup
-            gate = f"  [{'PASS' if ok else 'FAIL'} >= {require_speedup:.2f}x]"
-            failures += 0 if ok else 1
-        print(f"  {name:>16}: {speedup:.2f}x{gate}")
+        print(f"{entry['label']:>36} {host_stamp(entry)}" + (f": {walls}" if walls else ""))
+    failures = checked = 0
+    for first, last in speedup_pairs(trajectory):
+        print(f"\n{first['label']!r} -> {last['label']!r} speed-up "
+              f"on {host_stamp(last)}:")
+        for name, cur in last["results"].items():
+            ref = first["results"].get(name)
+            for fld in wall:
+                if ref is None or fld not in ref:
+                    continue
+                speedup = ref[fld] / cur[fld]
+                gate = ""
+                if require_speedup is not None and name in MICRO_BENCHES:
+                    ok = speedup >= require_speedup
+                    gate = f"  [{'PASS' if ok else 'FAIL'} >= {require_speedup:.2f}x]"
+                    checked += 1
+                    failures += 0 if ok else 1
+                print(f"  {name:>20}: {speedup:.2f}x{gate}")
+    if require_speedup is not None and not checked:
+        print("--require-speedup: no host stamp has two entries with "
+              "micro-bench wall times to compare", file=sys.stderr)
+        return 1
     return 1 if failures else 0
-
-
-def _transport_suite(args) -> int:
-    """The transport x burst-loss matrix suite (exact, simulated)."""
-    print("measuring transport x burst-loss matrix (simulated, exact):")
-    fresh = measure_transport()
-    trajectory = load_trajectory(args.baseline)
-    if args.record:
-        trajectory.append({**stamp(args.label), **fresh})
-        save_trajectory(args.baseline, trajectory,
-                        benches=sorted(fresh["results"]))
-        print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
-              f"to {args.baseline}")
-        return 0
-    if not trajectory:
-        print(f"no baseline at {args.baseline}; run with --record first",
-              file=sys.stderr)
-        return 2
-    return compare_transport(fresh, trajectory[-1], args.require_ratio)
-
-
-def _engine_suite(args) -> int:
-    """The wall-clock engine scenario suite (record/compare/trajectory)."""
-    trajectory = load_trajectory(args.baseline)
-    if args.trajectory:
-        return show_trajectory(trajectory, args.require_speedup)
-
-    repeats = 2 if args.smoke else args.repeats
-    print(f"measuring engine benches (best of {repeats}):")
-    fresh = measure(repeats)
-
-    if args.record:
-        trajectory.append({**stamp(args.label), "results": fresh})
-        save_trajectory(args.baseline, trajectory)
-        print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
-              f"to {args.baseline}")
-        return 0
-
-    if not trajectory:
-        print(f"no baseline at {args.baseline}; run with --record first",
-              file=sys.stderr)
-        return 2
-    return compare(fresh, trajectory[-1], args.tolerance)
-
-
-def _traffic_suite(args) -> int:
-    """The policy x load traffic matrix: exact + report-ordering gates."""
-    from repro.traffic.bench import check_gates, run_bench_matrix
-
-    n_requests = 6_000 if args.smoke else 60_000
-    print(f"measuring traffic policy x load matrix "
-          f"({n_requests} requests/point, simulated, exact):")
-    fresh = run_bench_matrix(n_requests=n_requests)
-    for key, outcome in sorted(fresh.items()):
-        analytic = outcome.get("analytic")
-        extra = f"  (analytic {analytic:.4f})" if analytic is not None else ""
-        print(f"  {key:>16}: mean {outcome['mean']:10.4f}  "
-              f"p99 {outcome['p99']:10.4f}{extra}")
-
-    failures = 0
-    print("\nreport-reproduction gates:")
-    if args.smoke:
-        print("  " + SMOKE_NO_ANALYTIC.format(n=n_requests, tol=args.tolerance * 100))
-    gates = check_gates(fresh, tolerance=args.tolerance, closed_forms=not args.smoke)
-    for description, ok in gates:
-        print(f"  [{'PASS' if ok else 'FAIL'}] {description}")
-        failures += 0 if ok else 1
-
-    trajectory = load_trajectory(args.baseline)
-    if args.record:
-        if failures:
-            print(f"\nrefusing to record a baseline that fails "
-                  f"{failures} gate(s)", file=sys.stderr)
-            return 1
-        trajectory.append({**stamp(args.label), "n_requests": n_requests,
-                           "results": fresh})
-        save_trajectory(args.baseline, trajectory, benches=sorted(fresh))
-        print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
-              f"to {args.baseline}")
-        return 0
-    if not trajectory:
-        print(f"no baseline at {args.baseline}; run with --record first",
-              file=sys.stderr)
-        return 2
-    base_entry = trajectory[-1]
-    base = base_entry["results"]
-    print(f"\ncomparing against baseline entry {base_entry['label']!r}:")
-    if base_entry.get("n_requests") != n_requests:
-        print(f"  (baseline used {base_entry.get('n_requests')} requests/point, "
-              f"this run {n_requests}: skipping the exact comparison)")
-    else:
-        for key, cur in sorted(fresh.items()):
-            ref = base.get(key)
-            if ref is None:
-                print(f"  {key:>16}: NEW (no baseline)")
-                continue
-            if cur != ref:
-                diffs = {
-                    fld: (cur.get(fld), ref.get(fld))
-                    for fld in sorted(set(cur) | set(ref))
-                    if cur.get(fld) != ref.get(fld)
-                }
-                print(f"  {key:>16}: DETERMINISM MISMATCH {diffs}")
-                failures += 1
-            else:
-                print(f"  {key:>16}: ok (exact)")
-    return 1 if failures else 0
-
-
-#: suite name -> (committed baseline file, runner); adding a suite is one
-#: entry here — selection, default baseline, and dispatch all read it
-SUITES = {
-    "engine": (DEFAULT_BASELINE, _engine_suite),
-    "transport": (TRANSPORT_BASELINE, _transport_suite),
-    "traffic": (TRAFFIC_BASELINE, _traffic_suite),
-}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", default="engine", metavar="SUITE",
-                        help="which benchmark suite to run "
-                             f"(one of: {', '.join(SUITES)}; default: engine)")
+    parser.add_argument("--suite", default="engine", choices=SUITES,
+                        help="which benchmark suite to run (default: engine)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="trajectory file (default: BENCH_<suite>.json)")
     parser.add_argument("--record", action="store_true",
@@ -350,18 +308,37 @@ def main(argv=None) -> int:
                              "goodput ratio at the canonical loss point")
     args = parser.parse_args(argv)
 
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        print(
-            f"unknown suite {args.suite!r}; known suites: "
-            f"{', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
+    suite = SUITES[args.suite]
+    baseline = args.baseline or suite.baseline
+    trajectory = load_trajectory(baseline)
+    if args.trajectory:
+        return show_trajectory(trajectory, suite.wall, args.require_speedup)
+
+    results, params = suite.measure(args)
+    gates: Gates = []
+    if suite.gates is not None:
+        print("\ngates:")
+        gates = suite.gates(results, args)
+    for description, ok in gates:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {description}")
+    failed = sum(not ok for _, ok in gates)
+
+    if args.record:
+        if failed:
+            print(f"\nrefusing to record a baseline that fails "
+                  f"{failed} gate(s)", file=sys.stderr)
+            return 1
+        trajectory.append({**stamp(args.label), **params, "results": results})
+        save_trajectory(baseline, trajectory, results)
+        print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
+              f"to {baseline}")
+        return 0
+    if not trajectory:
+        print(f"no baseline at {baseline}; run with --record first",
+              file=sys.stderr)
         return 2
-    default_baseline, run = suite
-    if args.baseline is None:
-        args.baseline = default_baseline
-    return run(args)
+    mismatched = compare(results, params, trajectory, suite.wall, args.tolerance)
+    return 1 if failed or mismatched else 0
 
 
 if __name__ == "__main__":
