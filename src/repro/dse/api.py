@@ -92,7 +92,11 @@ class ParallelAPI:
     def gm_read(self, addr: int, nwords: int) -> Generator[Event, Any, np.ndarray]:
         """Read ``nwords`` float64 words from global memory."""
         if not self.obs.enabled:
-            return (yield from self.kernel.gmem.read(addr, nwords, accessor=self.rank))
+            # The hottest API call: hand back gmem's generator, no wrapper.
+            return self.kernel.gmem.read(addr, nwords, accessor=self.rank)
+        return self._traced_gm_read(addr, nwords)
+
+    def _traced_gm_read(self, addr: int, nwords: int) -> Generator[Event, Any, np.ndarray]:
         span = self._root("api.gm_read")
         data = yield from self.kernel.gmem.read(
             addr, nwords, trace=span.ctx, accessor=self.rank
@@ -103,8 +107,10 @@ class ParallelAPI:
     def gm_write(self, addr: int, values: Sequence[float]) -> Generator[Event, Any, None]:
         """Write float64 words into global memory."""
         if not self.obs.enabled:
-            yield from self.kernel.gmem.write(addr, values, accessor=self.rank)
-            return
+            return self.kernel.gmem.write(addr, values, accessor=self.rank)
+        return self._traced_gm_write(addr, values)
+
+    def _traced_gm_write(self, addr: int, values: Sequence[float]) -> Generator[Event, Any, None]:
         span = self._root("api.gm_write")
         yield from self.kernel.gmem.write(
             addr, values, trace=span.ctx, accessor=self.rank

@@ -24,7 +24,7 @@ from ..errors import DSEError, KernelUnavailableError
 from ..hardware.cpu import Work
 from ..osmodel.sockets import Socket
 from ..sim.core import Event
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from .messages import DSEMessage, MsgType, channel_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +49,12 @@ APP_RETRY_LIMIT = 12
 
 class MessageExchange:
     """One kernel's message exchange module."""
+
+    # Per-message counters, looked up at their first use (see LazyStat).
+    _c_requests_sent = LazyStat("requests_sent")
+    _c_replies_sent = LazyStat("replies_sent")
+    _c_bytes_out = LazyStat("bytes_out")
+    _c_requests_received = LazyStat("requests_received")
 
     def __init__(self, kernel: "DSEKernel"):
         self.kernel = kernel
@@ -128,7 +134,7 @@ class MessageExchange:
             if span is not None:
                 self.obs.end(span, self.sim.now)
             return response
-        self.stats.counter("requests_sent").increment()
+        self._c_requests_sent.increment()
         if self._dual and channel_of(msg.msg_type) == "unreliable":
             # Data-class RPC on the raw channel: the transport gives no
             # delivery guarantee, so reliability lives here — resend the
@@ -161,7 +167,7 @@ class MessageExchange:
         seq = msg.seq
         match = (
             lambda p: isinstance(p.payload, DSEMessage)
-            and p.payload.is_response
+            and p.payload.msg_type.is_response
             and p.payload.seq == seq
         )
         for attempt in range(1, APP_RETRY_LIMIT + 2):
@@ -205,7 +211,7 @@ class MessageExchange:
         """Send a response built with :meth:`DSEMessage.make_response`."""
         if not response.is_response:
             raise DSEError(f"reply() called with non-response {response.msg_type}")
-        self.stats.counter("replies_sent").increment()
+        self._c_replies_sent.increment()
         if response.dst_kernel == self.kernel.kernel_id:
             # Deferred reply to a local requester: deliver via loopback so the
             # waiting coroutine's socket filter picks it up.
@@ -217,20 +223,25 @@ class MessageExchange:
         yield from self._transmit(response)
 
     def _transmit(self, msg: DSEMessage) -> Generator[Event, Any, None]:
+        """The socket's send generator for ``msg``; callers ``yield from`` it
+        at once, so the bookkeeping here runs where it would in a wrapper."""
         station, port = self.route_of(msg.dst_kernel)
         if self._res is not None and msg.dst_kernel == self._res.monitor_id:
             # Any traffic towards the monitor doubles as a heartbeat.
             self.last_sent_to_monitor = self.sim.now
-        self.stats.counter("bytes_out").increment(msg.size_bytes)
-        self.kernel.cluster.tracer.emit(
-            self.sim.now,
-            f"k{self.kernel.kernel_id}",
-            "send",
-            (msg.msg_type.value, msg.dst_kernel, msg.size_bytes),
-        )
+        size = msg.size_bytes
+        self._c_bytes_out.increment(size)
+        tracer = self.kernel.cluster.tracer
+        if tracer.enabled:
+            tracer.emit(
+                self.sim.now,
+                f"k{self.kernel.kernel_id}",
+                "send",
+                (msg.msg_type.value, msg.dst_kernel, size),
+            )
         channel = channel_of(msg.msg_type) if self._dual else None
-        yield from self.socket.sendto(
-            station, port, msg, msg.size_bytes, trace=msg.trace, channel=channel
+        return self.socket.sendto(
+            station, port, msg, size, trace=msg.trace, channel=channel
         )
 
     def _await_response(
@@ -238,7 +249,7 @@ class MessageExchange:
     ) -> Generator[Event, Any, DSEMessage]:
         match = (
             lambda p: isinstance(p.payload, DSEMessage)
-            and p.payload.is_response
+            and p.payload.msg_type.is_response
             and p.payload.seq == seq
         )
         if self._res is None or dst is None:
@@ -274,18 +285,21 @@ class MessageExchange:
     def next_request(self) -> Generator[Event, Any, DSEMessage]:
         """Receive the next inbound *request* (service-loop side)."""
         packet = yield from self.socket.recv(
-            filter=lambda p: isinstance(p.payload, DSEMessage) and p.payload.is_request
+            filter=lambda p: isinstance(p.payload, DSEMessage)
+            and p.payload.msg_type.is_request
         )
-        self.stats.counter("requests_received").increment()
+        self._c_requests_received.increment()
         msg = packet.payload
         if self._on_message is not None:
             self._on_message(msg.src_kernel)
-        self.kernel.cluster.tracer.emit(
-            self.sim.now,
-            f"k{self.kernel.kernel_id}",
-            "recv",
-            (msg.msg_type.value, msg.src_kernel, msg.size_bytes),
-        )
+        tracer = self.kernel.cluster.tracer
+        if tracer.enabled:
+            tracer.emit(
+                self.sim.now,
+                f"k{self.kernel.kernel_id}",
+                "recv",
+                (msg.msg_type.value, msg.src_kernel, msg.size_bytes),
+            )
         return msg
 
     def close(self) -> None:

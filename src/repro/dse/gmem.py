@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import GlobalMemoryError
 from ..hardware.cpu import Work
 from ..sim.core import Event
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from .messages import DSEMessage, MsgType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +59,12 @@ class GlobalMemoryManager:
     """One kernel's view of the cluster-wide global memory (home policy)."""
 
     policy_name = "home"
+
+    # Per-message counters whose first use must stay where it is: a remote
+    # read or a served read may never happen, and a key that is never
+    # touched stays out of the snapshot (see LazyStat).
+    _c_remote_reads = LazyStat("remote_reads")
+    _c_served_reads = LazyStat("served_reads")
 
     def __init__(self, kernel: "DSEKernel", total_words: int, block_words: int):
         if total_words <= 0 or block_words <= 0:
@@ -224,7 +230,7 @@ class GlobalMemoryManager:
         self, home: int, start: int, count: int, trace: Any = None
     ) -> Generator[Event, Any, np.ndarray]:
         """One request/response round trip for a single-home run."""
-        self.stats.counter("remote_reads").increment()
+        self._c_remote_reads.increment()
         msg = DSEMessage(
             msg_type=MsgType.GM_READ_REQ,
             src_kernel=self.kernel.kernel_id,
@@ -439,7 +445,7 @@ class GlobalMemoryManager:
         if not self._owns(msg.addr, msg.nwords):
             return msg.make_response(status="not-home")
         yield from self.kernel.unix_process.compute(Work(mems=msg.nwords))
-        self.stats.counter("served_reads").increment()
+        self._c_served_reads.increment()
         return msg.make_response(data=self._local_read(msg.addr, msg.nwords))
 
     def handle_write(self, msg: DSEMessage) -> Generator[Event, Any, DSEMessage]:

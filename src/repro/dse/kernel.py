@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, Generator, Optional, TYPE_CHECKING
 from ..errors import DSEError, KernelUnavailableError
 from ..osmodel.machine import Machine
 from ..sim.core import Event, Process
-from ..sim.monitor import StatSet
+from ..sim.monitor import LazyStat, StatSet
 from .exchange import MessageExchange
 from .gmem import GlobalMemoryManager
 from .messages import DSEMessage, MsgType
@@ -30,6 +30,8 @@ __all__ = ["DSEKernel"]
 
 class DSEKernel:
     """One node's DSE kernel, linked (as a library) with its DSE processes."""
+
+    _c_requests_served = LazyStat("requests_served")
 
     def __init__(self, kernel_id: int, machine: Machine, cluster: "Cluster"):
         self.kernel_id = kernel_id
@@ -78,7 +80,7 @@ class DSEKernel:
         """UNIX-process body: run the message service loop until shutdown."""
         while not self._shutdown:
             msg = yield from self.exchange.next_request()
-            self.stats.counter("requests_served").increment()
+            self._c_requests_served.increment()
             if msg.msg_type is MsgType.SHUTDOWN_REQ:
                 self._shutdown = True
                 yield from self.exchange.reply(msg.make_response())

@@ -108,11 +108,11 @@ RESPONSE_OF = {
 
 
 def is_request(t: MsgType) -> bool:
-    return t in _REQUESTS
+    return t.is_request
 
 
 def is_response(t: MsgType) -> bool:
-    return t in _RESPONSES
+    return t.is_response
 
 
 #: message types carried on the *unreliable* channel of a dual-channel
@@ -150,7 +150,7 @@ def channel_of(t: MsgType) -> str:
 
 
 #: message types whose word payload is charged on the wire: write/fetch
-#: requests and read responses (frozenset: size_bytes is per-hop hot)
+#: requests and read responses
 _WORD_CARRIERS = frozenset(
     {
         MsgType.GM_WRITE_REQ,
@@ -161,6 +161,18 @@ _WORD_CARRIERS = frozenset(
         MsgType.GM_WB_REQ,
     }
 )
+
+# Each member carries its classes and its response type as plain
+# attributes, computed once here.  Mailbox filters test them on every packet
+# they scan, size_bytes on every hop and make_response on every reply; a set
+# or dict lookup would hash the member through the Python-level
+# Enum.__hash__ each time.
+for _t in MsgType:
+    _t.is_request = _t in _REQUESTS
+    _t.is_response = _t in _RESPONSES
+    _t.carries_words = _t in _WORD_CARRIERS
+    _t.response_type = RESPONSE_OF.get(_t)
+del _t
 
 
 @dataclass(slots=True)
@@ -188,20 +200,16 @@ class DSEMessage:
 
     @property
     def is_request(self) -> bool:
-        return is_request(self.msg_type)
+        return self.msg_type.is_request
 
     @property
     def is_response(self) -> bool:
-        return is_response(self.msg_type)
+        return self.msg_type.is_response
 
     @property
     def size_bytes(self) -> int:
-        data_words = self.nwords if self.msg_type in _WORD_CARRIERS else 0
+        data_words = self.nwords if self.msg_type.carries_words else 0
         return HEADER_BYTES + data_words * WORD_BYTES + self.extra_bytes + len(self.name)
-
-    def _carries_words(self) -> bool:
-        """Word payload rides on write/fetch requests and read responses."""
-        return self.msg_type in _WORD_CARRIERS
 
     def make_response(
         self,
@@ -211,10 +219,11 @@ class DSEMessage:
         extra_bytes: int = 0,
     ) -> "DSEMessage":
         """Build the matching response (same seq, reversed direction)."""
-        if not self.is_request or self.msg_type not in RESPONSE_OF:
+        response_type = self.msg_type.response_type
+        if response_type is None:
             raise ValueError(f"cannot respond to {self.msg_type}")
         return DSEMessage(
-            msg_type=RESPONSE_OF[self.msg_type],
+            msg_type=response_type,
             src_kernel=self.dst_kernel,
             dst_kernel=self.src_kernel,
             addr=self.addr,

@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence
 
 from ..dse.messages import HEADER_BYTES, WORD_BYTES
 from ..hardware.platform import PlatformSpec
+from ..osmodel.syscall import SYSCALL_WEIGHTS
 
 __all__ = ["message_cost", "barrier_cost", "predict_gauss_seidel", "colocation_factor"]
 
@@ -45,7 +46,7 @@ def message_cost(
     ``payload_bytes`` of data one way (headers folded in approximately)."""
     costs = platform.os_costs
     per_msg_cpu = (
-        2 * costs.syscall * 1.5  # sendto + recvfrom weights
+        costs.syscall * (SYSCALL_WEIGHTS["sendto"] + SYSCALL_WEIGHTS["recvfrom"])
         + 2 * costs.protocol_per_message
         + costs.signal_delivery
         + costs.context_switch

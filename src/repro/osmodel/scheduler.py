@@ -31,10 +31,17 @@ It is bit-identical to the general path, which it only shortcuts: with one
 job the rate is exactly 1.0, so the delay ``x / 1.0 == x`` and the progress
 ``dt * 1.0 == dt``; the one job's remaining *is* ``_shortest`` and is
 clamped at 0.0 the same way; the run-queue and busy integrals get the same
-``set`` calls at the same times; and no event or heap sequence number is
+updates at the same times; and no event or heap sequence number is
 added or removed — the completion event stays separate from the timer.
 A second arrival finds the solo job in ``_jobs`` and takes the general
 path unchanged.
+
+The general path keeps the same arithmetic in fewer Python calls: a
+departure makes one pass over the jobs (subtract, clamp, collect the
+finished ones, take the survivors' minimum), a level change updates the
+run-queue and busy integrals with one ``TimeWeighted.set_with``, and a
+pending timer is moved with ``Timeout.rearm``, which is exactly the old
+cancel + ``sim.timeout`` in heap slots, sequence numbers and cancel counts.
 """
 
 from __future__ import annotations
@@ -138,8 +145,7 @@ class ProcessorSharingCPU:
             self._last = now
             jobs[job_id] = _Job(event, demand_seconds)
             self._shortest = demand_seconds
-            self.run_queue.set(1, now)
-            self.busy.set(1.0, now)
+            self.run_queue.set_with(1, self.busy, 1.0, now)
             self._epoch = epoch = self._epoch + 1
             timer = self._timer = sim.timeout(demand_seconds, value=epoch)
             timer.callbacks.append(self._on_timer_cb)
@@ -155,8 +161,7 @@ class ProcessorSharingCPU:
     # -- internals ------------------------------------------------------------
     def _note_queue(self) -> None:
         n = len(self._jobs)
-        self.run_queue.set(n, self.sim.now)
-        self.busy.set(1.0 if n else 0.0, self.sim.now)
+        self.run_queue.set_with(n, self.busy, 1.0 if n else 0.0, self.sim.now)
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -176,25 +181,32 @@ class ProcessorSharingCPU:
             self._shortest = 0.0
 
     def _reschedule(self) -> None:
-        self._epoch += 1
-        # Lazily cancel the superseded timer so the event queue never
-        # dispatches it — with hundreds of co-located kernels, arrival and
-        # departure rates make stale completion timers the dominant event
-        # source otherwise.  The epoch guard stays as a second line of
-        # defence (a timer firing in the same timestep cannot be cancelled).
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._jobs:
+        self._epoch = epoch = self._epoch + 1
+        # The superseded timer never reaches the event queue's dispatch:
+        # with hundreds of co-located kernels, arrival and departure rates
+        # make stale completion timers the dominant event source otherwise.
+        # A pending timer is moved with Timeout.rearm, which is exactly
+        # cancel + sim.timeout in heap slots, sequence numbers and
+        # events_cancelled.  The epoch guard stays as a second line of
+        # defence (a timer firing in the same timestep cannot be
+        # cancelled).
+        timer = self._timer
+        jobs = self._jobs
+        if not jobs:
+            if timer is not None:
+                timer.cancel()
+                self._timer = None
             self._shortest = _INF
             return
-        r = self.rate(len(self._jobs))
-        delay = self._shortest / r
+        delay = self._shortest / self.rate(len(jobs))
         # The armed epoch rides in the timeout's value, so one cached bound
         # method serves every timer — no per-reschedule closure allocation.
-        timer = self.sim.timeout(delay, value=self._epoch)
+        if timer is not None:
+            timer._value = epoch
+            timer.rearm(delay)
+            return
+        timer = self._timer = self.sim.timeout(delay, value=epoch)
         timer.callbacks.append(self._on_timer_cb)
-        self._timer = timer
 
     def _on_timer(self, event: Event) -> None:
         if event._value != self._epoch:
@@ -212,18 +224,34 @@ class ProcessorSharingCPU:
                 job = jobs.popitem()[1]
                 self._c_completed.increment()
                 self._shortest = _INF
-                self.run_queue.set(0, now)
-                self.busy.set(0.0, now)
+                self.run_queue.set_with(0, self.busy, 0.0, now)
                 job.event.succeed()
                 return
-        self._advance()
-        finished = [jid for jid, job in jobs.items() if job.remaining <= _EPS]
+        # One pass does _advance's subtraction and clamp, picks out the
+        # finished jobs in insertion order and rescans the survivors'
+        # minimum (departures are the one place the cached minimum must be
+        # rescanned).  A timer only fires while jobs run and time never
+        # runs backwards, so dt >= 0, and for dt == 0 the progress is 0.0,
+        # which subtracts to the same bits _advance would have left alone.
+        now = self.sim.now
+        progressed = (now - self._last) * self.rate(len(jobs))
+        self._last = now
+        finished = []
+        shortest = _INF
+        for jid, job in jobs.items():
+            remaining = job.remaining - progressed
+            if remaining < 0:
+                remaining = 0.0
+            job.remaining = remaining
+            if remaining <= _EPS:
+                finished.append(jid)
+            elif remaining < shortest:
+                shortest = remaining
         events = []
         for jid in finished:
             events.append(jobs.pop(jid).event)
             self._c_completed.increment()
-        # Departures are the one place the cached minimum must be rescanned.
-        self._shortest = min(job.remaining for job in jobs.values()) if jobs else _INF
+        self._shortest = shortest
         self._note_queue()
         self._reschedule()
         for event in events:

@@ -7,6 +7,14 @@ Charges follow the paper's accounting of user-level DSE overheads:
 * **receive path** — the arrival raises an (accounted) SIGIO, then the
   reader pays context switch + ``recvfrom`` syscall + protocol processing.
 
+Every message pays these bursts, so the socket submits each one to the
+process's CPU itself and yields its completion event directly, with the
+syscall costs computed once per socket (:func:`~.syscall.syscall_cost`):
+the same bursts, counters and events as going through
+:meth:`UnixProcess.syscall` / :meth:`UnixProcess.compute_seconds` (both
+built on :meth:`UnixProcess.syscall_burst` / :meth:`UnixProcess.burst`),
+without a nested generator per burst.
+
 When observability is enabled (``ClusterConfig(obs_trace=True)``) and the
 caller supplies a trace context, both paths record spans: ``sock.send``
 covers syscall + protocol processing + transport hand-off, ``sock.recv``
@@ -24,6 +32,7 @@ from ..protocol.packet import Packet
 from ..protocol.udp import Mailbox
 from ..sim.core import Event
 from ..sim.monitor import LazyStat
+from .syscall import syscall_cost
 from .unixproc import UnixProcess
 
 __all__ = ["Socket"]
@@ -44,7 +53,11 @@ class Socket:
         self.mailbox: Mailbox = self.machine.transport.bind(port)
         self.closed = False
         #: the platform's cost table, read on every send and receive
-        self._costs = proc.platform.os_costs
+        self._costs = costs = proc.platform.os_costs
+        self._sendto_cost = syscall_cost(costs.syscall, "sendto")
+        self._recvfrom_cost = syscall_cost(costs.syscall, "recvfrom")
+        #: SIGIO delivery plus the switch to the woken reader
+        self._wakeup_cost = costs.signal_delivery + costs.context_switch
         self.machine.stats.counter("sockets_open").increment()
         self.obs = getattr(proc.sim, "obs", None) or NULL_RECORDER
         self._obs_pid = self.machine.station_id
@@ -76,10 +89,15 @@ class Socket:
             )
             trace = span.ctx
         costs = self._costs
-        yield from self.proc.syscall("sendto")
-        yield from self.proc.compute_seconds(
+        proc = self.proc
+        burst = proc.syscall_burst(self._sendto_cost)
+        if burst is not None:
+            yield burst
+        burst = proc.burst(
             costs.protocol_per_message + costs.protocol_per_byte * payload_bytes
         )
+        if burst is not None:
+            yield burst
         self._c_msgs_sent.increment()
         self._c_bytes_sent.increment(payload_bytes)
         if dst_station == self.machine.station_id:
@@ -139,15 +157,20 @@ class Socket:
             self.obs.instant(now, "sigio", "os", self._obs_pid, self._obs_tid, packet.trace)
             span = self.obs.begin(now, "sock.recv", "os", self._obs_pid, self._obs_tid, packet.trace)
         costs = self._costs
+        proc = self.proc
         # SIGIO wakes the process, the kernel switches to it, recvfrom copies
         # the data out, protocol processing is charged per message + byte.
-        yield from self.proc.compute_seconds(
-            costs.signal_delivery + costs.context_switch
-        )
-        yield from self.proc.syscall("recvfrom")
-        yield from self.proc.compute_seconds(
+        burst = proc.burst(self._wakeup_cost)
+        if burst is not None:
+            yield burst
+        burst = proc.syscall_burst(self._recvfrom_cost)
+        if burst is not None:
+            yield burst
+        burst = proc.burst(
             costs.protocol_per_message + costs.protocol_per_byte * packet.payload_bytes
         )
+        if burst is not None:
+            yield burst
         self._c_msgs_received.increment()
         self._c_bytes_received.increment(packet.payload_bytes)
         if span is not None:

@@ -9,6 +9,9 @@ provides the costed primitives everything above is written with:
   with the machine's other processes, which is how co-located DSE kernels
   slow each other down);
 * ``syscall(name)`` — charge one system call;
+* ``burst(s)`` / ``syscall_burst(cost)`` — submit one CPU burst (the latter
+  counted as a syscall) and return its completion event, for hot callers
+  (the socket layer) that yield it without a nested generator;
 * ``sleep(s)`` — idle without consuming CPU;
 * ``raise_signal`` / signal handler table — SIGIO-style async notification.
 """
@@ -62,24 +65,27 @@ class UnixProcess:
     # -- costed primitives ------------------------------------------------
     def compute(self, work: Work) -> Generator[Event, Any, None]:
         """Execute ``work`` on this machine's (shared) CPU."""
-        burst = self._burst(self.platform.cpu.seconds_for(work))
+        burst = self.burst(self.platform.cpu.seconds_for(work))
         if burst is not None:
             yield burst
 
     def compute_seconds(self, seconds: float) -> Generator[Event, Any, None]:
-        burst = self._burst(seconds)
+        burst = self.burst(seconds)
         if burst is not None:
             yield burst
 
     def syscall(self, name: str) -> Generator[Event, Any, None]:
         """Enter the kernel: burns the platform's cost for syscall ``name``."""
-        cost = syscall_cost(self._syscall_base, name)
-        self._c_syscalls.increment()
-        burst = self._burst(cost)
+        burst = self.syscall_burst(syscall_cost(self._syscall_base, name))
         if burst is not None:
             yield burst
 
-    def _burst(self, seconds: float) -> Optional[Event]:
+    def syscall_burst(self, cost: float) -> Optional[Event]:
+        """Count one syscall and submit its ``cost``; ``None`` when free."""
+        self._c_syscalls.increment()
+        return self.burst(cost)
+
+    def burst(self, seconds: float) -> Optional[Event]:
         """Submit ``seconds`` of CPU demand; ``None`` when there is none."""
         if seconds < 0:
             raise OSModelError(f"negative compute time: {seconds}")

@@ -97,6 +97,21 @@ class TimeWeighted:
         self._level = level
         self._last_time = now
 
+    def set_with(
+        self, level: float, other: "TimeWeighted", other_level: float, now: float
+    ) -> None:
+        """``self.set(level, now)`` then ``other.set(other_level, now)`` in
+        one call, for two levels that always change together (a CPU's run
+        queue and its busy flag).  Same arithmetic, bit for bit."""
+        if now < self._last_time or now < other._last_time:
+            raise ValueError("time went backwards")
+        self._area += self._level * (now - self._last_time)
+        self._level = level
+        self._last_time = now
+        other._area += other._level * (now - other._last_time)
+        other._level = other_level
+        other._last_time = now
+
     def adjust(self, delta: float, now: float) -> None:
         self.set(self._level + delta, now)
 

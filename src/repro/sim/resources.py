@@ -192,31 +192,35 @@ class Store:
     def _dispatch(self) -> None:
         if not self._putters and not (self._getters and self.items):
             return  # nothing to admit and no getter can match
+        items = self.items
+        getters = self._getters
+        putters = self._putters
         while True:
             # Admit pending puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                putter = self._putters.pop(0)
-                self.items.append(putter.item)
+            while putters and len(items) < self.capacity:
+                putter = putters.pop(0)
+                items.append(putter.item)
                 self.total_puts += 1
-                self.peak_occupancy = max(self.peak_occupancy, len(self.items))
+                if len(items) > self.peak_occupancy:
+                    self.peak_occupancy = len(items)
                 putter.succeed(priority=PRIORITY_URGENT)
             # Satisfy getters in FIFO order against available items.
             got = False
             i = 0
-            while i < len(self._getters):
-                getter = self._getters[i]
+            while i < len(getters):
+                getter = getters[i]
                 matched = None
                 if getter.filter is None:
-                    if self.items:
-                        matched = self.items.popleft()
+                    if items:
+                        matched = items.popleft()
                 else:
-                    for j, item in enumerate(self.items):
+                    for j, item in enumerate(items):
                         if getter.filter(item):
                             matched = item
-                            del self.items[j]
+                            del items[j]
                             break
                 if matched is not None:
-                    self._getters.pop(i)
+                    getters.pop(i)
                     self.total_gets += 1
                     getter.succeed(matched, priority=PRIORITY_URGENT)
                     got = True
@@ -225,7 +229,7 @@ class Store:
             # Items only shrink during the scan, so a getter that missed
             # keeps missing; another pass can only help once a get has
             # freed room for a waiting put.
-            if not (got and self._putters):
+            if not (got and putters):
                 return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -20,6 +20,20 @@ def test_request_response_classification():
     assert not is_response(MsgType.PROC_DONE)
 
 
+def test_member_attributes_match_the_class_sets():
+    from repro.dse.messages import _REQUESTS, _RESPONSES, _WORD_CARRIERS, RESPONSE_OF
+
+    for t in MsgType:
+        assert t.is_request is (t in _REQUESTS)
+        assert t.is_response is (t in _RESPONSES)
+        assert t.carries_words is (t in _WORD_CARRIERS)
+        assert t.response_type is RESPONSE_OF.get(t)
+    with pytest.raises(ValueError, match="cannot respond"):
+        DSEMessage(MsgType.PROC_DONE, 0, 1).make_response()
+    with pytest.raises(ValueError, match="cannot respond"):
+        DSEMessage(MsgType.GM_READ_RSP, 0, 1).make_response()
+
+
 def test_every_req_has_matching_rsp():
     for t in MsgType:
         if t.value.endswith("_req"):

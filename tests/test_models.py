@@ -37,6 +37,18 @@ def test_message_cost_in_millisecond_ballpark():
     assert 0.5e-3 < rt < 5e-3
 
 
+def test_message_cost_reads_the_socket_syscall_weights(monkeypatch):
+    """The analytic model charges the same sendto/recvfrom weights as the
+    simulated socket, so re-weighting a syscall moves both."""
+    from repro.osmodel.syscall import SYSCALL_WEIGHTS
+
+    base = message_cost(SUNOS_SPARCSTATION, 64)
+    monkeypatch.setitem(SYSCALL_WEIGHTS, "sendto", SYSCALL_WEIGHTS["sendto"] + 2.0)
+    # Two messages per round trip, each paying one sendto.
+    extra = 2 * SUNOS_SPARCSTATION.os_costs.syscall * 2.0
+    assert message_cost(SUNOS_SPARCSTATION, 64) == pytest.approx(base + extra, rel=1e-12)
+
+
 def test_barrier_cost_grows_with_parties():
     assert barrier_cost(LINUX_PCAT, 1) == 0.0
     assert barrier_cost(LINUX_PCAT, 12) > barrier_cost(LINUX_PCAT, 4)

@@ -114,7 +114,7 @@ def _no_measuring(args):
     raise AssertionError("--trajectory must not measure")
 
 
-@pytest.mark.parametrize("suite", ["transport", "traffic"])
+@pytest.mark.parametrize("suite", ["transport", "traffic", "hostbench"])
 def test_trajectory_flag_measures_nothing_in_any_suite(suite, monkeypatch, capsys):
     suites = check_bench.SUITES
     monkeypatch.setitem(suites, suite, suites[suite]._replace(measure=_no_measuring))
@@ -143,7 +143,7 @@ def test_record_refuses_an_entry_that_fails_a_gate(tmp_path, monkeypatch):
 
 #: one exact field per suite to perturb in the compare test
 _EXACT_PROBES = {"engine": "events", "transport": "retransmissions",
-                 "traffic": "p99"}
+                 "traffic": "p99", "hostbench": "sim.events"}
 
 
 @pytest.mark.parametrize("suite", sorted(_EXACT_PROBES))
@@ -174,6 +174,14 @@ def test_compare_flags_exact_mismatch_wall_regression_and_param_skip(suite, caps
     if params:
         assert compare(perturbed, params={"n_requests": 6_000}) == 0
         assert "skipping the comparison" in capsys.readouterr().out
+
+
+def test_hostbench_suite_pins_exactly_the_gated_workloads():
+    gated = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(check_bench.HOSTBENCH_WORKLOADS) == sorted(gated)
+    latest = check_bench.load_trajectory(check_bench.SUITES["hostbench"].baseline)[-1]
+    assert sorted(latest["results"]) == sorted(gated)
+    assert check_bench.SUITES["hostbench"].wall == ()
 
 
 # -- engine fast paths ---------------------------------------------------------

@@ -252,3 +252,131 @@ def test_exact_pin_traffic(policy):
         "stat_keys": list(result.stats),
     }
     assert got == TRAFFIC_PINS[policy]
+
+
+# -- exact pins of what the hostbench fingerprint cannot see ------------------
+# The fingerprint sorts stat keys and never turns a tracer on.  These pins
+# cover the same two runs as EXACT_PINS: the ordered keys and exact values of
+# every per-object StatSet snapshot (a hoisted counter read one call too
+# early moves a key), the legacy per-message Tracer records of a
+# ``trace=True`` run, and the spans of an ``obs_trace=True`` run.  Each is a
+# sha256 so a moved key or a skipped record shows as a changed digest.
+TRACE_PINS = {
+    "switch-8-batched": {
+        "stats": {
+            "machine": "720ef10ab9d3919c90afff36482a4b13f2f7c79a2e8989a285ad8eb6e909f29e",
+            "cpu": "2ca006d5e900d2048989de763185b9e888ca45e4b726f8923464f39f27efdb05",
+            "nic": "9e908c6512559ddf5da83e7c780dcae30d23e1b21d3ce40c4ee0d3068e4340cf",
+            "transport": "a9c790c126730ef9809a71560adf46b699c1c0c1fb53c0ec962d4b1a5f8cfcba",
+            "fabric": "59097c576bea7bbb9b36fdb98650dfea6d855cd5e8a5087c95aeed662080d450",
+            "exchange": "a69bfdc295a6b157baeda402c0e8b906ad43d66f3a62b311bf674411de1d559d",
+            "gmem": "8b4a2d221e6c7d33fcd98d5ed7fd294eb1938d9679e19b7fabf0246c02b3748a",
+            "kernel": "6c0d5f19113846de0c3b3859e8a100caf9ba404957d5d27fd38b23fe88ec1934",
+            "sync": "b81207c92ed899ecbfe14a84f8ba560478a9d4a4a426d5e8086e2f0501298f7e",
+            "procman": "45f2f10fc81fbeb90111564a25f9f4b594366ebbe044b4ea7f6ddd3b56f48931",
+        },
+        "trace_records": 498,
+        "trace": "0bba6091530f9cda7b53226e91bd1517ae6a315e33b520a251c0077b9edb740e",
+        "spans": 1971,
+        "span_digest": "ee569b219ec21ac531916945c908217dab1ae86bdd9ff8db33e524bcd1760e60",
+    },
+    "bus-12-on-6": {
+        "stats": {
+            "machine": "614b8e7d1c6c85fae9de127f655c7db73c3eff09ffc2888f8a323383d14422d6",
+            "cpu": "7babe4bec4b59f6fb8dd5417aad1cc5afd966a383ddeb31a84dc55d5edcf3045",
+            "nic": "9fa5d60df4576837a12f9650e816149f10765176afabb51958f3fcace92fb74a",
+            "transport": "61cfc1d6c449f3516b802947358239d8ec4527c6124e6b6458f06c8a8fb83799",
+            "fabric": "057fe857edf80111ec91db1f5d6b6947ff8a19021e6fbbae9c1717306cc66c94",
+            "exchange": "dcc18ecfc62bb71bbf644b07b677797453dd0e3b2fa203e6c3950ed238c7f55d",
+            "gmem": "c96b48560ad3c74525e68bd1bbd33cb4f97ae236dd352edd3fdbc67d859f6b02",
+            "kernel": "b1c0beeb7ac99f2c648df09a29a6351fafe2e7faa607fbe1dcd5fc93a4d4e0d1",
+            "sync": "101e267f4aaebe46fd54928d8511ce3dac416336c7ee6de6c3e69d451552d699",
+            "procman": "a9a3f5f93ab0abf974c1accbb03b099637e091f51913217d7e24644a268997c3",
+        },
+        "trace_records": 1046,
+        "trace": "99c4ef9dc2707208df56543ee987193b88e26c72cd179bf83116f22aac0e3bac",
+        "spans": 4906,
+        "span_digest": "1a5c36e4453b3c87b098fdfec9e5010f45b14e48bdbd585e115f8a8c9f1ad1c8",
+    },
+}
+
+#: per-object stat sets, by kind
+_STAT_KINDS = {
+    "machine": lambda c: [m.stats for m in c.machines],
+    "cpu": lambda c: [m.cpu.stats for m in c.machines],
+    "nic": lambda c: [m.nic.stats for m in c.machines],
+    "transport": lambda c: [m.transport.stats for m in c.machines],
+    "fabric": lambda c: [c.network.fabric.stats],
+    "exchange": lambda c: [k.exchange.stats for k in c.kernels],
+    "gmem": lambda c: [k.gmem.stats for k in c.kernels],
+    "kernel": lambda c: [k.stats for k in c.kernels],
+    "sync": lambda c: [k.sync.stats for k in c.kernels],
+    "procman": lambda c: [k.procman.stats for k in c.kernels],
+}
+
+
+def _exact(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _stat_digests(cluster):
+    return {
+        kind: _sha256(
+            f"{stats.name}:{key}={_exact(value)}"
+            for stats in statsets(cluster)
+            for key, value in stats.snapshot().items()
+        )
+        for kind, statsets in _STAT_KINDS.items()
+    }
+
+
+def _tracer_digest(tracer):
+    return _sha256(
+        f"{_exact(r.time)}|{r.source}|{r.kind}|{json.dumps(r.detail)}"
+        for r in tracer.records
+    )
+
+
+def _span_digest(recorder):
+    # tids are UNIX pids from a process-wide counter; number them by first
+    # appearance so the digest does not depend on what ran before.
+    tids = {}
+    lines = []
+    for s in recorder.spans:
+        tid = tids.setdefault(s.tid, len(tids))
+        end = "-" if s.end is None else _exact(s.end)
+        lines.append(
+            f"{s.name}|{s.cat}|{s.pid}|{tid}|{_exact(s.start)}|{end}|{s.phase}|"
+            f"{s.ctx.trace_id}.{s.ctx.span_id}<{s.parent_id}|{json.dumps(s.args)}"
+        )
+    return _sha256(lines)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_exact_pin_stat_keys_and_traces(name):
+    import dataclasses
+
+    from repro.apps import gauss_seidel_worker
+
+    args = (96, 2, 7, False)
+    config = _exact_pin_config(name)
+    plain = run_parallel(config, gauss_seidel_worker, args=args)
+    traced = run_parallel(dataclasses.replace(config, trace=True), gauss_seidel_worker, args=args)
+    spanned = run_parallel(
+        dataclasses.replace(config, obs_trace=True), gauss_seidel_worker, args=args
+    )
+    # Neither tracer may move the simulated clock.
+    for res in (traced, spanned):
+        assert res.elapsed.hex() == EXACT_PINS[name]["elapsed"]
+    got = {
+        "stats": _stat_digests(plain.cluster),
+        "trace_records": len(traced.cluster.tracer.records),
+        "trace": _tracer_digest(traced.cluster.tracer),
+        "spans": len(spanned.cluster.obs.spans),
+        "span_digest": _span_digest(spanned.cluster.obs),
+    }
+    assert got == TRACE_PINS[name]

@@ -78,6 +78,24 @@ def test_time_weighted_rejects_backwards_time():
         tw.set(2.0, now=4.0)
 
 
+def test_time_weighted_set_with_matches_two_sets():
+    pairs = [(TimeWeighted("a", start_time=0.1), TimeWeighted("b", start_time=0.1))
+             for _ in range(2)]
+    (a1, b1), (a2, b2) = pairs
+    for level, now in [(3, 0.30000000000000004), (1, 0.7), (0, 1.1), (2, 1.1), (5, 2.9)]:
+        a1.set(level, now)
+        b1.set(1.0 if level else 0.0, now)
+        a2.set_with(level, b2, 1.0 if level else 0.0, now)
+    for x, y in ((a1, a2), (b1, b2)):
+        assert x.level == y.level
+        assert x.average(3.3).hex() == y.average(3.3).hex()
+    with pytest.raises(ValueError, match="backwards"):
+        a2.set_with(1, b2, 1.0, 2.0)
+    b2.set(0.0, 4.0)  # either side being ahead is refused
+    with pytest.raises(ValueError, match="backwards"):
+        a2.set_with(1, b2, 1.0, 3.5)
+
+
 def test_statset_lazy_counters():
     s = StatSet("net")
     s.counter("frames").increment()

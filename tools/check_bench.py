@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark gates: measure, compare and record the committed BENCH_*.json suites.
 
-Three suites, selected with ``--suite``, each one :class:`Suite` entry in
+Four suites, selected with ``--suite``, each one :class:`Suite` entry in
 ``SUITES`` run by the one loop in :func:`main`:
 
 * ``engine`` (default) — wall-clock measurements of the canonical engine
@@ -18,8 +18,17 @@ Three suites, selected with ``--suite``, each one :class:`Suite` entry in
   simulated-vs-analytic error within ``--tolerance`` of the closed forms.
   ``--smoke`` runs a tenth of the requests and keeps only the ordering
   gates (see ``SMOKE_NO_ANALYTIC``).
+* ``hostbench`` — cross-revision pins of the repo benchmark's simulated
+  outputs, committed in ``BENCH_hostbench.json``: each workload that
+  ``BENCHMARK.json`` gates runs once at ``op_seed(1, 0)``, and its
+  ``Workload.counts()`` plus the simulated ``elapsed`` of every run it
+  makes are compared exactly (~15 s; ``--smoke`` changes nothing).  A
+  host-time optimisation must leave all of them unchanged.  The workload
+  fingerprint is not pinned: it hashes application results that go
+  through numpy's BLAS, which another numpy build may round differently.
+  ``hostbench/`` is imported, never changed.  No wall fields, no gates.
 
-All three files share one schema::
+All four files share one schema::
 
     {"benches": [...],
      "trajectory": [{"label", "machine", "python", "cpus", <params>,
@@ -169,6 +178,36 @@ def traffic_gates(results: Results, args) -> Gates:
                        closed_forms=not args.smoke)
 
 
+#: the workloads BENCHMARK.json gates, pinned by --suite hostbench
+HOSTBENCH_WORKLOADS = ("paper_bus", "scale_switch", "traffic_sweep")
+
+
+def _elapsed_fields(name: str, out) -> Dict[str, float]:
+    """Simulated elapsed time of every run one hostbench operation made."""
+    if name == "paper_bus":
+        return {f"elapsed/{app}/{p}": res.elapsed for (app, p), res in sorted(out.items())}
+    if name == "traffic_sweep":
+        return {f"elapsed/{policy}": result.elapsed
+                for policy, (result, _) in sorted(out.items())}
+    return {"elapsed": out.elapsed}
+
+
+def hostbench_pins(args) -> Tuple[Results, dict]:
+    """Run each gated hostbench workload once at ``op_seed(1, 0)``."""
+    sys.path.insert(0, str(REPO / "hostbench"))
+    from workloads import WORKLOADS, op_seed
+
+    print("measuring hostbench workloads at op_seed(1, 0) (simulated, exact):")
+    results = {}
+    for name in HOSTBENCH_WORKLOADS:
+        workload = WORKLOADS[name]()
+        out = workload.run(op_seed(1, 0))
+        results[name] = {**workload.counts(out), **_elapsed_fields(name, out)}
+        print(f"  {name:>20}: {results[name]['sim.events']} events, "
+              f"{len(results[name])} fields")
+    return results, {}
+
+
 class Suite(NamedTuple):
     """One committed ``BENCH_*.json`` file and how to measure and gate it."""
 
@@ -188,6 +227,7 @@ SUITES = {
                        gates=transport_gates),
     "traffic": Suite(REPO / "BENCH_traffic.json", traffic_matrix,
                      gates=traffic_gates),
+    "hostbench": Suite(REPO / "BENCH_hostbench.json", hostbench_pins),
 }
 
 
