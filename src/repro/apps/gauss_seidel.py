@@ -26,6 +26,7 @@ import numpy as np
 from ..dse.api import ParallelAPI
 from ..hardware.cpu import Work
 from ..sim.core import Event
+from .shared import shared_pair
 
 __all__ = [
     "make_system",
@@ -41,9 +42,19 @@ DEFAULT_SWEEPS = 10
 
 
 def make_system(n: int, seed: int = 7) -> Tuple[np.ndarray, np.ndarray]:
-    """A strictly diagonally dominant dense system (guaranteed convergence)."""
+    """A strictly diagonally dominant dense system (guaranteed convergence).
+
+    Returns the one shared, read-only host copy of ``(a, b)`` for
+    ``(n, seed)`` (see :mod:`repro.apps.shared`): callers that hold it at
+    the same time get the same arrays, and it is freed with the last
+    holder.  Copy an array before changing it.
+    """
     if n < 1:
         raise ValueError(f"system dimension must be >= 1, got {n}")
+    return shared_pair(("gauss_seidel", n, seed), lambda: _build_system(n, seed))
+
+
+def _build_system(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     np.fill_diagonal(a, 0.0)
@@ -112,9 +123,10 @@ def gauss_seidel_worker(
 ) -> Generator[Event, Any, Dict[str, Any]]:
     """DSE-parallel block Gauss-Seidel (run under ``run_parallel``).
 
-    Every rank regenerates the (deterministic) system and works on its
-    contiguous row block; the x vector is distributed across the ranks'
-    global-memory slices.
+    The ranks share one read-only host copy of the (deterministic) system,
+    the way co-located processes share read-only pages; generating it is
+    uncharged.  Each rank works on its contiguous row block; the x vector
+    is distributed across the ranks' global-memory slices.
     """
     a, b = make_system(n, seed)
     size, rank = api.size, api.rank

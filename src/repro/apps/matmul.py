@@ -21,13 +21,21 @@ from ..errors import ApplicationError
 from ..hardware.cpu import Work
 from ..sim.core import Event
 from .gauss_seidel import row_partition
+from .shared import shared_pair
 
 __all__ = ["make_matrices", "matmul_work", "matmul_worker"]
 
 
 def make_matrices(n: int, seed: int = 23) -> Tuple[np.ndarray, np.ndarray]:
+    """The operands ``(A, B)``: the one shared, read-only host copy for
+    ``(n, seed)`` (see :mod:`repro.apps.shared`), freed with its last
+    holder."""
     if n < 1:
         raise ApplicationError(f"matrix dimension must be >= 1, got {n}")
+    return shared_pair(("matmul", n, seed), lambda: _build_matrices(n, seed))
+
+
+def _build_matrices(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, n)), rng.normal(size=(n, n))
 
@@ -42,8 +50,10 @@ def matmul_worker(
 ) -> Generator[Event, Any, Dict[str, Any]]:
     """DSE-parallel matrix multiply (run under ``run_parallel``).
 
-    Layout: B at the master's slice base; rank r's rows of A at
-    ``home_base(r)``, its rows of C right after them.
+    The ranks share one read-only host copy of the operands, the way
+    co-located processes share read-only pages; generating them is
+    uncharged.  Layout: B at the master's slice base; rank r's rows of A
+    at ``home_base(r)``, its rows of C right after them.
     """
     a, b = make_matrices(n, seed)
     bounds = row_partition(n, api.size)

@@ -65,6 +65,8 @@ class SwitchedLAN:
         self.prop_delay = prop_delay
         self.cut_through = cut_through
         self.name = name
+        #: serialisation time of the frame header — the cut-through point
+        self.header_time = bits(ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / rate_bps
         self._stations: Dict[int, Callable[[EthernetFrame], None]] = {}
         #: per-port next-free times (the whole queueing model)
         self._up_free: Dict[int, float] = {}
@@ -125,11 +127,6 @@ class SwitchedLAN:
 
     def transmission_time(self, frame: EthernetFrame) -> float:
         return bits(frame.wire_bytes) / self.rate_bps
-
-    @property
-    def header_time(self) -> float:
-        """Serialisation time of the frame header — the cut-through point."""
-        return bits(ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / self.rate_bps
 
     def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
         """Serialise onto the uplink; forwarding and delivery are computed

@@ -58,11 +58,10 @@ _INF = float("inf")
 
 
 class _Job:
-    __slots__ = ("event", "remaining", "demand")
+    __slots__ = ("event", "remaining")
 
     def __init__(self, event: Event, demand: float):
         self.event = event
-        self.demand = demand
         self.remaining = demand
 
 

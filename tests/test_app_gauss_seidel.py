@@ -1,5 +1,9 @@
 """Tests for the Gauss-Seidel application (sequential + DSE-parallel)."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from repro.apps.gauss_seidel import (
 )
 from repro.dse import ClusterConfig, run_parallel
 from repro.hardware import get_platform
+from repro.network.topology import FabricConfig
 
 
 def cfg(p=4, **kw):
@@ -40,6 +45,63 @@ def test_make_system_deterministic():
 def test_make_system_validation():
     with pytest.raises(ValueError):
         make_system(0)
+
+
+def test_make_system_is_read_only():
+    a, b = make_system(12, seed=5)
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        b[0] = 1.0
+
+
+def test_make_system_shared_while_held():
+    a1, b1 = make_system(12, seed=5)
+    a2, b2 = make_system(12, seed=5)
+    assert a2 is a1 and b2 is b1
+    a3, b3 = make_system(12, seed=6)
+    assert a3 is not a1 and b3 is not b1
+
+
+def test_make_system_freed_with_last_holder():
+    """A weak memo: nothing is kept for the life of the process."""
+    a, b = make_system(12, seed=5)
+    refs = weakref.ref(a), weakref.ref(b)
+    del a, b
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    a, b = make_system(12, seed=5)
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_make_system_replaces_only_the_freed_array():
+    a, b = make_system(12, seed=5)
+    b_ref = weakref.ref(b)
+    del b
+    gc.collect()
+    assert b_ref() is None
+    a2, b2 = make_system(12, seed=5)
+    assert a2 is a
+    assert np.array_equal(b2, make_system(12, seed=5)[1])
+
+
+def _traced_peak(p):
+    config = cfg(p, n_machines=p, fabric=FabricConfig(kind="switch"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_parallel(config, gauss_seidel_worker, args=(256, 1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ranks_share_one_system_copy():
+    """28 more ranks cost far less host memory than 28 more 256x256
+    systems (512 KiB each, about 14 MiB)."""
+    extra = _traced_peak(32) - _traced_peak(4)
+    assert extra < 4 * 2**20
 
 
 def test_sequential_converges_to_true_solution():

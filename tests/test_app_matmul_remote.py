@@ -1,5 +1,8 @@
 """Tests for the matrix-multiply extension app and SSI remote execution."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,27 @@ def test_make_matrices_deterministic():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     with pytest.raises(ApplicationError):
         make_matrices(0)
+
+
+def test_make_matrices_read_only_and_shared_while_held():
+    a, b = make_matrices(10)
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    a2, b2 = make_matrices(10)
+    assert a2 is a and b2 is b
+
+
+def test_make_matrices_freed_with_last_holder():
+    a, b = make_matrices(10)
+    refs = weakref.ref(a), weakref.ref(b)
+    del a, b
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    a, b = make_matrices(10)
+    assert not a.flags.writeable and not b.flags.writeable
 
 
 def test_matmul_work_scaling():
