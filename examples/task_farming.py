@@ -26,7 +26,7 @@ def simulate_option_price(api, strike):
 
 def main():
     config = ClusterConfig(
-        platform=get_platform("aix"), n_processors=5, n_machines=5, trace=True
+        platform=get_platform("aix"), n_processors=5, n_machines=5, obs_trace=True
     )
     cluster = Cluster(config)
     out = {}
@@ -55,9 +55,9 @@ def main():
     print(f"20 farmed tasks + 1 remote task in {fmt_time(out['elapsed'])} "
           f"(vs {fmt_time(21 * 0.004)} sequential)\n")
     print("sample results:", dict(list(out["prices"].items())[:4]), "…\n")
-    print(render_timeline(cluster.tracer, width=60))
+    print(render_timeline(cluster.obs, width=60))
     print()
-    print(message_census(cluster.tracer))
+    print(message_census(cluster.obs))
 
 
 if __name__ == "__main__":

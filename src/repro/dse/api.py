@@ -118,11 +118,11 @@ class ParallelAPI:
         self._end(span)
 
     def gm_read_scalar(self, addr: int) -> Generator[Event, Any, float]:
-        data = yield from self.kernel.gmem.read(addr, 1, accessor=self.rank)
+        data = yield from self.gm_read(addr, 1)
         return float(data[0])
 
     def gm_write_scalar(self, addr: int, value: float) -> Generator[Event, Any, None]:
-        yield from self.kernel.gmem.write(addr, [value], accessor=self.rank)
+        yield from self.gm_write(addr, [value])
 
     @staticmethod
     def words_for_bytes(nbytes: int) -> int:

@@ -36,10 +36,8 @@ class Cluster:
         self.sim = Simulator(start_time=start_time)
         self.rng = RandomStreams(config.seed)
         from ..obs import MetricsSampler, SpanRecorder
-        from ..sim.monitor import Tracer, StatSet
+        from ..sim.monitor import StatSet
 
-        #: per-message trace (populated only when config.trace is set)
-        self.tracer = Tracer(enabled=config.trace)
         #: cross-layer span recorder; every layer below captures it from
         #: ``sim.obs`` at construction time, so it must exist before any
         #: network/machine component is built.

@@ -51,9 +51,8 @@ class ClusterConfig:
     #: fewer, larger messages hit the wire (see docs/scaling.md).
     gmem_batching: bool = False
     seed: int = 1999
-    #: record per-message trace events (see repro.experiments.timeline)
-    trace: bool = False
-    #: record causal spans across all layers (see repro.obs); adds no
+    #: record causal spans across all layers, plus one untraced record per
+    #: DSE message (see repro.obs, repro.experiments.timeline); adds no
     #: simulation events, so virtual-time results are unchanged
     obs_trace: bool = False
     #: sampling period (simulated seconds) for the metrics time-series;

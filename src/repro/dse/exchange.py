@@ -231,14 +231,8 @@ class MessageExchange:
             self.last_sent_to_monitor = self.sim.now
         size = msg.size_bytes
         self._c_bytes_out.increment(size)
-        tracer = self.kernel.cluster.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"k{self.kernel.kernel_id}",
-                "send",
-                (msg.msg_type.value, msg.dst_kernel, size),
-            )
+        if self.obs.enabled:
+            self._mark("send", msg, msg.dst_kernel, size)
         channel = channel_of(msg.msg_type) if self._dual else None
         return self.socket.sendto(
             station, port, msg, size, trace=msg.trace, channel=channel
@@ -292,15 +286,16 @@ class MessageExchange:
         msg = packet.payload
         if self._on_message is not None:
             self._on_message(msg.src_kernel)
-        tracer = self.kernel.cluster.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"k{self.kernel.kernel_id}",
-                "recv",
-                (msg.msg_type.value, msg.src_kernel, msg.size_bytes),
-            )
+        if self.obs.enabled:
+            self._mark("recv", msg, msg.src_kernel, msg.size_bytes)
         return msg
+
+    def _mark(self, kind: str, msg: DSEMessage, peer: int, size: int) -> None:
+        # Untraced: farm, process-management and shutdown traffic carries no
+        # trace context, so only these records put it on the timeline.
+        k = self.kernel
+        self.obs.mark(self.sim.now, f"{kind}:{msg.msg_type.value}", k.obs_pid,
+                      k.obs_tid, {"kernel": k.kernel_id, "peer": peer, "bytes": size})
 
     def close(self) -> None:
         self.socket.close()

@@ -150,8 +150,5 @@ def profile_result(result: RunResult) -> RunProfile:
         if hasattr(fabric, "utilization")
         else 0.0,
     }
-    for span in cluster.obs.spans:
-        agg = profile.spans.setdefault(span.name, {"count": 0, "total": 0.0})
-        agg["count"] += 1
-        agg["total"] += span.duration
+    profile.spans = cluster.obs.totals()
     return profile

@@ -1,10 +1,11 @@
-"""ASCII timelines from message traces.
+"""ASCII timelines and censuses from the span recorder.
 
-When a cluster is built with ``ClusterConfig(trace=True)``, every kernel's
-message exchange records send/receive events.  This module renders that
-trace as a per-kernel activity heat-map over simulated time — the quickest
-way to *see* a hotspot (one dark lane = one overloaded home node) or a
-convoy (vertical bands = barrier waves).
+When a cluster is built with ``ClusterConfig(obs_trace=True)``, every
+kernel's message exchange marks each send and received request in
+``cluster.obs`` (``cat="msg"`` records).  This module renders those as a
+per-kernel activity heat-map over simulated time — the quickest way to
+*see* a hotspot (one dark lane = one overloaded home node) or a convoy
+(vertical bands = barrier waves).
 """
 
 from __future__ import annotations
@@ -12,34 +13,43 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional
 
-from ..sim.monitor import TraceRecord, Tracer
+from ..obs.spans import MSG_CAT, Span, SpanRecorder
 from ..util.tables import Table
 
 __all__ = ["render_timeline", "message_census", "event_log", "span_census"]
 
 _SHADES = " .:-=+*#%@"
 
-_EMPTY_TRACE = "no events captured (was trace=True set?)"
+_EMPTY_TRACE = "no events captured (was obs_trace=True set?)"
+
+
+def _messages(recorder: SpanRecorder, kind: Optional[str] = None) -> List[Span]:
+    """The recorder's per-message records; ``kind`` is ``"send"``/``"recv"``."""
+    prefix = "" if kind is None else kind + ":"
+    return [
+        s for s in recorder.spans
+        if s.cat == MSG_CAT and s.name.startswith(prefix)
+    ]
 
 
 def render_timeline(
-    tracer: Tracer,
+    recorder: SpanRecorder,
     width: int = 64,
     kind: Optional[str] = None,
 ) -> str:
-    """Per-source heat-map: one lane per kernel, darkness = message rate."""
-    records = tracer.filter(kind=kind)
+    """Per-kernel heat-map: one lane per kernel, darkness = message rate."""
+    records = _messages(recorder, kind)
     if not records:
         return _EMPTY_TRACE
-    t0 = records[0].time
-    t1 = max(r.time for r in records)
+    t0 = records[0].start
+    t1 = max(r.start for r in records)
     span = max(t1 - t0, 1e-12)
     lanes: Dict[str, List[int]] = defaultdict(lambda: [0] * width)
     for record in records:
-        bucket = min(int((record.time - t0) / span * width), width - 1)
-        lanes[record.source][bucket] += 1
+        bucket = min(int((record.start - t0) / span * width), width - 1)
+        lanes[f"k{record.args['kernel']}"][bucket] += 1
     peak = max(max(lane) for lane in lanes.values())
-    dropped = f", {tracer.dropped} dropped past limit" if tracer.dropped else ""
+    dropped = f", {recorder.dropped} dropped past limit" if recorder.dropped else ""
     lines = [
         f"timeline {t0:.4g}s .. {t1:.4g}s "
         f"({len(records)} events, peak {peak}/cell{dropped})"
@@ -54,32 +64,34 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def message_census(tracer: Tracer) -> str:
+def message_census(recorder: SpanRecorder) -> str:
     """Message counts and bytes by type (sends only, to avoid double count)."""
-    sends = tracer.filter(kind="send")
+    sends = _messages(recorder, "send")
     if not sends:
         return _EMPTY_TRACE
     counts: Dict[str, int] = defaultdict(int)
     nbytes: Dict[str, int] = defaultdict(int)
     for record in sends:
-        msg_type, _dst, size = record.detail
+        msg_type = record.name[len("send:"):]
         counts[msg_type] += 1
-        nbytes[msg_type] += size
+        nbytes[msg_type] += record.args["bytes"]
     table = Table(["message type", "count", "bytes"], title="message census")
     for msg_type in sorted(counts, key=lambda t: -counts[t]):
         table.add(msg_type, counts[msg_type], nbytes[msg_type])
     return table.render()
 
 
-def event_log(tracer: Tracer, limit: int = 50) -> str:
-    """The first ``limit`` raw trace records, one line each."""
-    if not tracer.records:
+def event_log(recorder: SpanRecorder, limit: int = 50) -> str:
+    """The first ``limit`` per-message records, one line each."""
+    records = _messages(recorder)
+    if not records:
         return _EMPTY_TRACE
     lines = []
-    for record in tracer.records[:limit]:
-        lines.append(f"{record.time:12.6f}s {record.source:>6} {record.kind:<5} {record.detail}")
-    if len(tracer.records) > limit:
-        lines.append(f"... {len(tracer.records) - limit} more")
+    for r in records[:limit]:
+        source = f"k{r.args['kernel']}"
+        lines.append(f"{r.start:12.6f}s {source:>6} {r.name} {r.args}")
+    if len(records) > limit:
+        lines.append(f"... {len(records) - limit} more")
     return "\n".join(lines)
 
 
@@ -127,16 +139,12 @@ def span_census(recorder, sim=None, ckpt=None) -> str:
     checkpoint overhead (snapshot count / bytes / write latency) — so
     recording cost shows up in the same census as everything else.
     """
-    if not recorder.spans:
+    totals = recorder.totals()
+    if not totals:
         return "no spans captured (was obs_trace=True set?)"
-    counts: Dict[str, int] = defaultdict(int)
-    totals: Dict[str, float] = defaultdict(float)
-    for span in recorder.spans:
-        counts[span.name] += 1
-        totals[span.name] += span.duration
     table = Table(["span", "count", "total time (s)"], title="span census")
-    for name in sorted(counts, key=lambda n: -totals[n]):
-        table.add(name, counts[name], f"{totals[name]:.6g}")
+    for name, agg in sorted(totals.items(), key=lambda kv: -kv[1]["total"]):
+        table.add(name, agg["count"], f"{agg['total']:.6g}")
     out = table.render()
     request_block = _request_span_block(recorder)
     if request_block:

@@ -25,7 +25,7 @@ from .export import (
     write_metrics_jsonl,
 )
 from .metrics import MetricsSampler, Series
-from .spans import NET_TID, NULL_RECORDER, Span, SpanRecorder
+from .spans import MSG_CAT, NET_TID, NULL_RECORDER, Span, SpanRecorder
 
 __all__ = [
     "TraceContext",
@@ -33,6 +33,7 @@ __all__ = [
     "SpanRecorder",
     "NULL_RECORDER",
     "NET_TID",
+    "MSG_CAT",
     "MetricsSampler",
     "Series",
     "chrome_trace_events",

@@ -26,10 +26,17 @@ from typing import Any, Dict, List, Optional
 
 from .context import TraceContext
 
-__all__ = ["Span", "SpanRecorder", "NULL_RECORDER", "NET_TID"]
+__all__ = ["Span", "SpanRecorder", "NULL_RECORDER", "NET_TID", "MSG_CAT", "UNTRACED"]
 
 #: tid used for link-layer spans (NIC driver, bus) — "the wire", not a process
 NET_TID = -1
+
+#: category of the per-message records (see :meth:`SpanRecorder.mark`)
+MSG_CAT = "msg"
+
+#: context of records outside any trace; takes no trace or span ids, so
+#: marking leaves every traced span's identity unchanged
+UNTRACED = TraceContext(0, 0)
 
 
 class Span:
@@ -121,6 +128,13 @@ class SpanRecorder:
         span.phase = "i"
         return span
 
+    def mark(self, now: float, name: str, pid: int, tid: int, args: Dict[str, Any]) -> None:
+        """Record an untraced ``MSG_CAT`` instant (a DSE send or receipt)."""
+        span = Span(name, MSG_CAT, pid, tid, now, UNTRACED, None, "i")
+        span.end = now
+        span.args = args
+        self._keep(span)
+
     def _keep(self, span: Span) -> None:
         if self.limit is not None and len(self.spans) >= self.limit:
             self.dropped += 1
@@ -137,6 +151,17 @@ class SpanRecorder:
 
     def by_name(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
+
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """Span name -> ``{"count", "total"}`` seconds in first-seen order,
+        leaving out the per-message records."""
+        out: Dict[str, Dict[str, float]] = {}
+        for span in self.spans:
+            if span.cat != MSG_CAT:
+                agg = out.setdefault(span.name, {"count": 0, "total": 0.0})
+                agg["count"] += 1
+                agg["total"] += span.duration
+        return out
 
     def clear(self) -> None:
         self.spans.clear()

@@ -94,11 +94,9 @@ class LiveSink:
 
 
 def _span_summary(obs, limit: int = 5) -> Dict[str, Any]:
-    counts: Dict[str, int] = {}
-    for span in obs.spans:
-        counts[span.name] = counts.get(span.name, 0) + 1
+    counts = {name: agg["count"] for name, agg in obs.totals().items()}
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
-    return {"total": len(obs.spans), "dropped": obs.dropped, "top": dict(top)}
+    return {"total": sum(counts.values()), "dropped": obs.dropped, "top": dict(top)}
 
 
 def _topology_line(cluster) -> Dict[str, Any]:

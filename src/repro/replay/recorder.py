@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from ..errors import ReplayDivergence
+from ..resilience.checkpoint import checkpoint_cut
 from ..sim.core import Event
 from .config import ReplayConfig
 from .ring import CheckpointRing, RingSlot
@@ -159,25 +160,14 @@ class ReplayRecorder:
     def checkpoint(self, api, state: Any) -> Generator[Event, Any, None]:
         """One rank's part of a recording checkpoint (no resilience).
 
-        Mirrors :meth:`ResilienceManager.checkpoint`'s two-phase shape —
-        enter barrier, snapshot the quiescent cut, commit barrier — but by
+        Takes the same two-phase cut as :meth:`ResilienceManager.checkpoint`
+        (:func:`~repro.resilience.checkpoint.checkpoint_cut`), but by
         default charges *nothing* to simulated time beyond the barriers,
         so a recorded run stays timing-comparable with an unrecorded one
         modulo the checkpoint call itself."""
         rank = api.rank
         seq = self._seq_next.get(rank, 0)
-        # Enter barrier: every rank is at the cut and (because api.barrier
-        # flushes first) global memory is quiescent.
-        yield from api.barrier(f"rpl:ckpt:{seq}:enter")
-        snap = api.kernel.gmem.snapshot_slice()
-        charged = 0.0
-        if self.config.charge_bps > 0:
-            charged = max(snap.nbytes, 64) / self.config.charge_bps
-            yield from api.compute_seconds(charged)
-        stats = self.cluster.ckpt_stats
-        stats.counter("snapshots").increment()
-        stats.tally("snapshot_bytes").observe(snap.nbytes)
-        stats.tally("write_latency").observe(charged)
-        self.on_rank_snapshot(rank, seq, state, snap, api.now)
-        # Commit barrier: nobody proceeds until the cut is complete.
-        yield from api.barrier(f"rpl:ckpt:{seq}:commit")
+        yield from checkpoint_cut(
+            api, f"rpl:ckpt:{seq}", self.config.charge_bps,
+            lambda snap: self.on_rank_snapshot(rank, seq, state, snap, api.now),
+        )

@@ -150,7 +150,6 @@ def config_to_dict(config: ClusterConfig) -> dict:
         "block_words": config.block_words,
         "gmem_batching": config.gmem_batching,
         "seed": config.seed,
-        "trace": config.trace,
         "obs_trace": config.obs_trace,
         "obs_metrics_interval": config.obs_metrics_interval,
         "obs_span_limit": config.obs_span_limit,
@@ -196,7 +195,6 @@ def config_from_dict(d: dict) -> ClusterConfig:
         block_words=d["block_words"],
         gmem_batching=d["gmem_batching"],
         seed=d["seed"],
-        trace=d["trace"],
         obs_trace=d["obs_trace"],
         obs_metrics_interval=d["obs_metrics_interval"],
         obs_span_limit=d["obs_span_limit"],

@@ -19,11 +19,35 @@ version are discarded when a rollback intervenes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CheckpointStore"]
+__all__ = ["CheckpointStore", "checkpoint_cut"]
+
+
+def checkpoint_cut(
+    api, tag: str, charge_bps: float, on_snapshot: Callable[[np.ndarray], None]
+) -> Generator[Any, Any, None]:
+    """One rank's part of a consistent cut (resilience and replay both):
+    barrier ``<tag>:enter``, snapshot the home slice, charge its write at
+    ``charge_bps`` (nothing when 0), count it in ``ckpt_stats``, hand it to
+    ``on_snapshot``, barrier ``<tag>:commit``."""
+    # Enter barrier: every rank is at the cut and (because api.barrier
+    # flushes first) global memory is quiescent.
+    yield from api.barrier(f"{tag}:enter")
+    snap = api.kernel.gmem.snapshot_slice()
+    latency = 0.0
+    if charge_bps > 0:
+        latency = max(snap.nbytes, 64) / charge_bps
+        yield from api.compute_seconds(latency)
+    ckpt = api.kernel.cluster.ckpt_stats
+    ckpt.counter("snapshots").increment()
+    ckpt.tally("snapshot_bytes").observe(snap.nbytes)
+    ckpt.tally("write_latency").observe(latency)
+    on_snapshot(snap)
+    # Commit barrier: nobody proceeds until the cut is complete.
+    yield from api.barrier(f"{tag}:commit")
 
 
 class CheckpointStore:

@@ -39,7 +39,7 @@ import numpy as np
 from ..errors import ResilienceError
 from ..sim.core import Event
 from ..sim.monitor import StatSet
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointStore, checkpoint_cut
 from .config import ResilienceConfig
 from .membership import ALIVE, DEAD, SUSPECT, Membership
 
@@ -485,26 +485,20 @@ class ResilienceManager:
         """One rank's part of a coordinated checkpoint (see CheckpointStore)."""
         rank = api.rank
         version = self._ckpt_next.get(rank, self.store.committed_version + 1)
-        # Enter barrier: every rank is at the cut and (because api.barrier
-        # flushes first) global memory is quiescent.
-        yield from api.barrier(f"res:ckpt:{version}:enter")
-        snap = api.kernel.gmem.snapshot_slice()
-        latency = max(snap.nbytes, 64) / self.config.checkpoint_bps
-        yield from api.compute_seconds(latency)
-        self.store.put(rank, version, state, snap)
-        self._ckpt_next[rank] = version + 1
-        self.stats.counter("checkpoints").increment()
-        ckpt = self.cluster.ckpt_stats
-        ckpt.counter("snapshots").increment()
-        ckpt.tally("snapshot_bytes").observe(snap.nbytes)
-        ckpt.tally("write_latency").observe(latency)
-        rec = self.cluster.replay
-        if rec is not None:
-            # Replay recording piggybacks on the resilience checkpoint: the
-            # ring shares this snapshot (no extra barriers, no extra cost).
-            rec.on_rank_snapshot(rank, version, state, snap, self.sim.now)
-        # Commit barrier: nobody proceeds until the version is complete.
-        yield from api.barrier(f"res:ckpt:{version}:commit")
+
+        def on_snapshot(snap):
+            self.store.put(rank, version, state, snap)
+            self._ckpt_next[rank] = version + 1
+            self.stats.counter("checkpoints").increment()
+            rec = self.cluster.replay
+            if rec is not None:
+                # Replay recording piggybacks on the resilience checkpoint:
+                # the ring shares this snapshot (no extra barriers or cost).
+                rec.on_rank_snapshot(rank, version, state, snap, self.sim.now)
+
+        yield from checkpoint_cut(
+            api, f"res:ckpt:{version}", self.config.checkpoint_bps, on_snapshot
+        )
 
     def arm_failure_event(self) -> Event:
         """(Re-)arm the event the resilient runner waits on."""

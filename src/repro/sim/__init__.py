@@ -25,7 +25,7 @@ from .core import (
 )
 from .resources import Container, Mutex, Release, Request, Resource, Store
 from .rng import RandomStreams
-from .monitor import Counter, LazyStat, StatSet, Tally, TimeWeighted, TraceRecord, Tracer
+from .monitor import Counter, LazyStat, StatSet, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
@@ -51,6 +51,4 @@ __all__ = [
     "StatSet",
     "Tally",
     "TimeWeighted",
-    "TraceRecord",
-    "Tracer",
 ]

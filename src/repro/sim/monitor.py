@@ -1,4 +1,4 @@
-"""Instrumentation: counters, time-weighted statistics, and trace records.
+"""Instrumentation: counters, time-weighted statistics, and tallies.
 
 The experiment harness relies on these to report not just end-to-end times
 but the *explanations* the paper gives for its curves — message counts,
@@ -8,12 +8,11 @@ traffic — so every subsystem exposes a :class:`StatSet`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = [
-    "Counter", "TimeWeighted", "Tally", "StatSet", "LazyStat", "TraceRecord", "Tracer",
+    "Counter", "TimeWeighted", "Tally", "StatSet", "LazyStat",
 ]
 
 
@@ -181,40 +180,3 @@ class LazyStat:
             return self
         stat = obj.__dict__[self.attr] = self._lookup(obj)(self.name)
         return stat
-
-
-@dataclass
-class TraceRecord:
-    """One traced occurrence; kept tiny because traces can be long."""
-
-    time: float
-    source: str
-    kind: str
-    detail: Any = None
-
-
-class Tracer:
-    """An optional event trace; disabled by default for speed."""
-
-    def __init__(self, enabled: bool = False, limit: Optional[int] = None):
-        self.enabled = enabled
-        self.limit = limit
-        self.records: List[TraceRecord] = []
-        #: records discarded because ``limit`` was reached
-        self.dropped = 0
-
-    def emit(self, time: float, source: str, kind: str, detail: Any = None) -> None:
-        if not self.enabled:
-            return
-        if self.limit is not None and len(self.records) >= self.limit:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(time, source, kind, detail))
-
-    def filter(self, kind: Optional[str] = None, source: Optional[str] = None) -> List[TraceRecord]:
-        out = self.records
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if source is not None:
-            out = [r for r in out if r.source == source]
-        return out

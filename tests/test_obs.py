@@ -10,6 +10,7 @@ Covers the tentpole's hard requirements:
   preventing the event queue from draining.
 """
 
+import dataclasses
 import io
 import json
 
@@ -20,6 +21,7 @@ from repro.hardware import get_platform
 from repro.network.ethernet import EthernetBus, SEND_OK
 from repro.network.frame import EthernetFrame
 from repro.obs import (
+    MSG_CAT,
     MetricsSampler,
     NET_TID,
     SpanRecorder,
@@ -30,6 +32,7 @@ from repro.obs import (
     write_metrics_csv,
     write_metrics_jsonl,
 )
+from repro.obs.spans import UNTRACED
 from repro.sim import Simulator
 from repro.sim.monitor import StatSet
 from repro.sim.rng import RandomStreams
@@ -71,6 +74,25 @@ def test_span_limit_counts_drops():
     assert rec.dropped == 3
     rec.clear()
     assert rec.spans == [] and rec.dropped == 0
+
+
+def test_mark_takes_no_ids_and_totals_skip_it():
+    rec = SpanRecorder(enabled=True)
+    first = rec.begin(0.0, "api.gm_read", "api", 0, 100, None)
+    rec.mark(0.1, "send:gm_read_req", 0, 100, {"kernel": 0, "peer": 1, "bytes": 64})
+    second = rec.begin(0.2, "api.gm_write", "api", 0, 100, None)
+    rec.end(first, 0.3)
+    rec.end(second, 0.4)
+    # The record in between shifts neither the trace nor the span counter.
+    assert (second.ctx.trace_id, second.ctx.span_id) == (2, 2)
+    msg = rec.spans[1]
+    assert msg.cat == MSG_CAT and msg.phase == "i" and msg.duration == 0.0
+    assert msg.ctx is UNTRACED and msg.parent_id is None
+    assert rec.trace(first.ctx.trace_id) == [first]
+    assert rec.totals() == {
+        "api.gm_read": {"count": 1, "total": pytest.approx(0.3)},
+        "api.gm_write": {"count": 1, "total": pytest.approx(0.2)},
+    }
 
 
 def test_instant_has_zero_duration_and_i_phase():
@@ -170,6 +192,30 @@ def test_remote_read_is_one_connected_span_tree():
     assert all(s.tid == NET_TID for s in tree if s.name in ("nic.tx", "eth.tx"))
     # Every completed span has an end no earlier than its start.
     assert all(s.end is not None and s.end >= s.start for s in tree)
+
+
+def _remote_scalar_master(api):
+    addr = api.home_base(1)
+    yield from api.gm_write_scalar(addr, 4.0)
+    value = yield from api.gm_read_scalar(addr)
+    return value
+
+
+def test_scalar_gmem_calls_are_span_trees():
+    config = ClusterConfig(platform=get_platform("sunos"), n_processors=2)
+    plain = run_master(config, _remote_scalar_master)
+    result = run_master(dataclasses.replace(config, obs_trace=True), _remote_scalar_master)
+    assert result.returns[0] == plain.returns[0] == 4.0
+    assert result.elapsed == plain.elapsed
+    obs = result.cluster.obs
+    for root_name, served in (
+        ("api.gm_write", "serve:gm_write_req"),
+        ("api.gm_read", "serve:gm_read_req"),
+    ):
+        roots = [s for s in obs.roots() if s.name == root_name]
+        assert len(roots) == 1, root_name
+        names = [s.name for s in obs.trace(roots[0].ctx.trace_id)]
+        assert served in names, names
 
 
 def test_serve_span_runs_on_remote_kernel_lane():

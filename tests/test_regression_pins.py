@@ -23,6 +23,7 @@ from repro.apps import (
 )
 from repro.dse import ClusterConfig, run_parallel
 from repro.hardware import get_platform
+from repro.obs import MSG_CAT
 
 
 def elapsed_of(worker, args, platform="sunos", p=4, **kw):
@@ -258,9 +259,11 @@ def test_exact_pin_traffic(policy):
 # The fingerprint sorts stat keys and never turns a tracer on.  These pins
 # cover the same two runs as EXACT_PINS: the ordered keys and exact values of
 # every per-object StatSet snapshot (a hoisted counter read one call too
-# early moves a key), the legacy per-message Tracer records of a
-# ``trace=True`` run, and the spans of an ``obs_trace=True`` run.  Each is a
-# sha256 so a moved key or a skipped record shows as a changed digest.
+# early moves a key), and the recorder of an ``obs_trace=True`` run, split
+# into its per-message ``cat="msg"`` records (``trace_records``/``trace``,
+# digested as ``time|k<id>|send/recv|[type, peer, bytes]`` lines) and its
+# other spans.  Each is a sha256 so a moved key or a skipped record shows as
+# a changed digest.
 TRACE_PINS = {
     "switch-8-batched": {
         "stats": {
@@ -334,19 +337,21 @@ def _stat_digests(cluster):
     }
 
 
-def _tracer_digest(tracer):
-    return _sha256(
-        f"{_exact(r.time)}|{r.source}|{r.kind}|{json.dumps(r.detail)}"
-        for r in tracer.records
-    )
+def _message_digest(records):
+    lines = []
+    for r in records:
+        kind, msg_type = r.name.split(":", 1)
+        detail = [msg_type, r.args["peer"], r.args["bytes"]]
+        lines.append(f"{_exact(r.start)}|k{r.args['kernel']}|{kind}|{json.dumps(detail)}")
+    return _sha256(lines)
 
 
-def _span_digest(recorder):
+def _span_digest(spans):
     # tids are UNIX pids from a process-wide counter; number them by first
     # appearance so the digest does not depend on what ran before.
     tids = {}
     lines = []
-    for s in recorder.spans:
+    for s in spans:
         tid = tids.setdefault(s.tid, len(tids))
         end = "-" if s.end is None else _exact(s.end)
         lines.append(
@@ -365,18 +370,18 @@ def test_exact_pin_stat_keys_and_traces(name):
     args = (96, 2, 7, False)
     config = _exact_pin_config(name)
     plain = run_parallel(config, gauss_seidel_worker, args=args)
-    traced = run_parallel(dataclasses.replace(config, trace=True), gauss_seidel_worker, args=args)
-    spanned = run_parallel(
+    traced = run_parallel(
         dataclasses.replace(config, obs_trace=True), gauss_seidel_worker, args=args
     )
-    # Neither tracer may move the simulated clock.
-    for res in (traced, spanned):
-        assert res.elapsed.hex() == EXACT_PINS[name]["elapsed"]
+    # The recorder may not move the simulated clock.
+    assert traced.elapsed.hex() == EXACT_PINS[name]["elapsed"]
+    messages = [s for s in traced.cluster.obs.spans if s.cat == MSG_CAT]
+    spans = [s for s in traced.cluster.obs.spans if s.cat != MSG_CAT]
     got = {
         "stats": _stat_digests(plain.cluster),
-        "trace_records": len(traced.cluster.tracer.records),
-        "trace": _tracer_digest(traced.cluster.tracer),
-        "spans": len(spanned.cluster.obs.spans),
-        "span_digest": _span_digest(spanned.cluster.obs),
+        "trace_records": len(messages),
+        "trace": _message_digest(messages),
+        "spans": len(spans),
+        "span_digest": _span_digest(spans),
     }
     assert got == TRACE_PINS[name]

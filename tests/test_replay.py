@@ -344,6 +344,9 @@ def test_config_dict_roundtrip():
     assert back.replay == config.replay
     assert back.resilience == config.resilience
     assert back.fabric.rate_bps == config.fabric.rate_bps
+    # Recordings saved while ClusterConfig had a ``trace`` flag still load.
+    legacy = config_from_dict(dict(config_to_dict(config), trace=True))
+    assert config_to_dict(legacy) == config_to_dict(back)
 
 
 # ------------------------------------------------------------ resilience piggyback

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RandomStreams, StatSet, Tally, TimeWeighted, Tracer
+from repro.sim import RandomStreams, StatSet, Tally, TimeWeighted
 
 
 def test_streams_reproducible_across_instances():
@@ -105,26 +105,3 @@ def test_statset_lazy_counters():
     assert snap["frames"] == 3
     assert snap["wait.count"] == 1
     assert snap["wait.mean"] == pytest.approx(1.5)
-
-
-def test_tracer_disabled_by_default():
-    tr = Tracer()
-    tr.emit(0.0, "x", "kind")
-    assert tr.records == []
-
-
-def test_tracer_records_and_filters():
-    tr = Tracer(enabled=True)
-    tr.emit(1.0, "bus", "collision")
-    tr.emit(2.0, "bus", "send")
-    tr.emit(3.0, "nic", "send")
-    assert len(tr.filter(kind="send")) == 2
-    assert len(tr.filter(source="bus")) == 2
-    assert len(tr.filter(kind="send", source="nic")) == 1
-
-
-def test_tracer_limit():
-    tr = Tracer(enabled=True, limit=2)
-    for i in range(5):
-        tr.emit(float(i), "s", "k")
-    assert len(tr.records) == 2
