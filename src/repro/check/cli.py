@@ -18,11 +18,11 @@ deterministic schedule.  The exit status reflects both directions.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from typing import List
 
+from ..experiments.cli import command
 from .scheduler import Counterexample, explore, replay_counterexample
 from .scopes import MUTANT_SCOPES, SCOPES, SMOKE_SCOPES, ScopeConfig, make_harness
 
@@ -46,6 +46,15 @@ def _replay_twice(config: ScopeConfig, ce: Counterexample) -> bool:
             ]
         )
     return runs[0] == runs[1] and bool(runs[0])
+
+
+def _save_trace(config: ScopeConfig, ce: Counterexample, save_dir) -> None:
+    """Write ``ce`` as ``<save_dir>/<scope>.json`` under ``--save-trace``."""
+    if save_dir:
+        out = Path(save_dir) / f"{config.name}.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        ce.save(out)
+        print(f"  saved counterexample to {out}")
 
 
 def _run_scope(config: ScopeConfig, args) -> bool:
@@ -77,11 +86,7 @@ def _run_scope(config: ScopeConfig, args) -> bool:
             "  replayed twice standalone: "
             + ("identical (deterministic)" if deterministic else "MISMATCH")
         )
-        if args.save_trace:
-            out = Path(args.save_trace) / f"{config.name}.json"
-            out.parent.mkdir(parents=True, exist_ok=True)
-            ce.save(out)
-            print(f"  saved counterexample to {out}")
+        _save_trace(config, ce, args.save_trace)
         return deterministic
 
     if result.violations:
@@ -89,11 +94,7 @@ def _run_scope(config: ScopeConfig, args) -> bool:
             print(f"  FAIL {violation}")
         for ce in result.counterexamples():
             _print_trace(ce)
-            if args.save_trace:
-                out = Path(args.save_trace) / f"{config.name}.json"
-                out.parent.mkdir(parents=True, exist_ok=True)
-                ce.save(out)
-                print(f"  saved counterexample to {out}")
+            _save_trace(config, ce, args.save_trace)
         return False
     print("  ok: no violations")
     return True
@@ -120,10 +121,10 @@ def _replay_file(path: str) -> int:
 
 
 def check_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments check",
-        description="Exhaustive small-scope model checking of the "
-        "transport and DSE protocol state machines.",
+    parser = command(
+        "check",
+        "Exhaustive small-scope model checking of the transport and DSE "
+        "protocol state machines.",
     )
     parser.add_argument("scopes", nargs="*",
                         help="scope names (default: every clean scope)")

@@ -16,6 +16,7 @@ from ..errors import ConfigurationError
 from ..hardware.platform import PlatformSpec
 from ..hardware.platforms import LINUX_PCAT
 from ..network.topology import FabricConfig
+from ..protocol.transport import TRANSPORT_KINDS
 
 __all__ = ["ClusterConfig", "DEFAULT_MACHINES"]
 
@@ -23,7 +24,6 @@ __all__ = ["ClusterConfig", "DEFAULT_MACHINES"]
 DEFAULT_MACHINES = 6
 
 _COHERENCE_POLICIES = ("home", "cache")
-_TRANSPORTS = ("datagram", "reliable", "reliable-gbn", "sr", "dual")
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ class ClusterConfig:
             raise ConfigurationError("need at least one processor")
         if self.n_machines < 1:
             raise ConfigurationError("need at least one machine")
-        if self.transport not in _TRANSPORTS:
+        if self.transport not in TRANSPORT_KINDS:
             raise ConfigurationError(
-                f"unknown transport {self.transport!r}; expected {_TRANSPORTS}"
+                f"unknown transport {self.transport!r}; expected {TRANSPORT_KINDS}"
             )
         if self.coherence not in _COHERENCE_POLICIES:
             raise ConfigurationError(

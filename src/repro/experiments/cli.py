@@ -1,98 +1,137 @@
-"""Command-line entry point: regenerate any figure of the paper.
+"""The ``dse-experiments`` command: regenerate the paper's figures, or run
+one of the :data:`SUBCOMMANDS`.
 
-Installed as ``dse-experiments``::
-
-    dse-experiments --list
-    dse-experiments table1 fig5 fig11
-    dse-experiments all --fast
-
-The ``trace`` subcommand runs one workload with cross-layer causal tracing
-and exports a Chrome trace-event file (load it at ``chrome://tracing`` or
-https://ui.perfetto.dev) plus, optionally, the metrics time-series::
-
-    dse-experiments trace --workload gauss-seidel --processors 4 \\
-        --out trace.json --metrics metrics.csv
-
-The ``scale`` subcommand sweeps a workload across large virtual clusters
-(see :mod:`repro.experiments.scaling` and ``docs/scaling.md``)::
-
-    dse-experiments scale --workload gauss-seidel --nodes 6,32,64 \\
-        --fabric switch
-
-The ``sanitize`` subcommand runs workloads under the race/deadlock
-sanitizers (see :mod:`repro.sanitize` and ``docs/sanitizers.md``)::
-
-    dse-experiments sanitize --all
-    dse-experiments sanitize --demo
-
-The ``resilience`` subcommand injects kernel crashes into paper workloads
-and measures detection + recovery (see :mod:`repro.resilience` and
-``docs/resilience.md``)::
-
-    dse-experiments resilience --mode spmd --crash-at 0.05
-    dse-experiments resilience --mode farm --crashes 2
-
-The ``loss-sweep`` subcommand streams messages through each transport
-under Gilbert–Elliott burst loss and tabulates goodput + the speed-up
-over the seed's stop-and-wait protocol (see :mod:`repro.perf.netbench`
-and ``docs/networking.md``)::
-
-    dse-experiments loss-sweep
-
-The ``traffic`` subcommand drives the multi-tenant request layer: a
-policies x loads sweep of the PS cloning engine (cached, ``--jobs N``
-byte-identical), or the full-stack cluster variant with ``--cluster``
-(see :mod:`repro.traffic` and ``docs/traffic.md``)::
-
-    dse-experiments traffic --jobs 4
-    dse-experiments traffic --cluster --transport dual --loss 0.02
-    dse-experiments loss-sweep --loss 0,0.02,0.05 --transports reliable,sr
-    dse-experiments loss-sweep --fabric ethernet --messages 400
-
-The ``check`` subcommand model-checks the transport/coherence protocol
-state machines over bounded scopes: it exhaustively enumerates every
-delivery order, loss, and duplication decision, checks safety invariants
-at each state, and emits replayable counterexample traces (see
-:mod:`repro.check` and ``docs/checking.md``)::
-
-    dse-experiments check --smoke
-    dse-experiments check --mutants
-    dse-experiments check sw-lost-wakeup --save-trace traces/
-    dse-experiments check --replay traces/sw-lost-wakeup.json
-
-The ``replay`` subcommand records a run into a checkpoint ring and lets
-you seek/inspect/resume any simulated instant of it; ``live`` streams a
-running simulation's vitals as JSON lines (see :mod:`repro.replay` and
-``docs/debugging.md``)::
-
-    dse-experiments replay --workload gauss-seidel --at 0.002 --resume
-    dse-experiments replay --load run.replay --worst api.gm_read
-    dse-experiments live --workload gauss-seidel --out live.jsonl
-
-Figure regeneration accepts ``--jobs N`` to fan independent figures across
-worker processes and reuses prior runs through the content-addressed
-result cache (``--no-cache`` bypasses it).
+``dse-experiments --help`` lists the subcommands and ``dse-experiments
+<subcommand> --help`` describes one; the module each entry names documents
+it.  The flags several subcommands share are declared once here
+(:func:`command`), and so is the cluster they describe
+(:func:`cluster_config`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-from typing import List
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..dse.config import ClusterConfig
+from ..errors import ConfigurationError
+from ..hardware.platforms import get_platform, platform_names
+from ..replay.recording import WorkloadSpec
 from .checks import check_figure
-from .figures import FIGURES
+from .figures import FIGURES, FigureData
+from .parallel import ResultCache, run_tasks
 
-__all__ = ["main"]
+__all__ = [
+    "SUBCOMMANDS",
+    "TRACE_WORKLOADS",
+    "PROCESSORS",
+    "PLATFORM",
+    "SEED",
+    "SWEEP",
+    "command",
+    "cluster_config",
+    "sweep_cache",
+    "write_out",
+    "main",
+]
 
-#: workload key -> (import path, worker attr, small default args)
-_TRACE_WORKLOADS = {
-    "gauss-seidel": ("repro.apps.gauss_seidel", "gauss_seidel_worker", (96, 2, 7, False)),
-    "knights-tour": ("repro.apps.knights_tour", "knights_tour_worker", (8,)),
-    "othello": ("repro.apps.othello", "othello_worker", (3,)),
-    "dct2": ("repro.apps.dct2", "dct2_worker", (32, 8, 0.25, 11, False)),
+#: subcommand -> ``module:function`` called with the remaining argv; the
+#: module is imported only when its subcommand runs
+SUBCOMMANDS = {
+    "trace": "repro.experiments.cli:trace_main",
+    "scale": "repro.experiments.scaling:scale_main",
+    "sanitize": "repro.sanitize.cli:sanitize_main",
+    "resilience": "repro.resilience.cli:resilience_main",
+    "loss-sweep": "repro.experiments.cli:loss_sweep_main",
+    "traffic": "repro.traffic.cli:traffic_main",
+    "check": "repro.check.cli:check_main",
+    "replay": "repro.replay.cli:replay_main",
+    "live": "repro.replay.cli:live_main",
 }
+
+#: the paper workloads at a small size (``trace`` and ``sanitize``)
+TRACE_WORKLOADS = {
+    "gauss-seidel": WorkloadSpec(
+        "repro.apps.gauss_seidel", "gauss_seidel_worker", (96, 2, 7, False)
+    ),
+    "knights-tour": WorkloadSpec("repro.apps.knights_tour", "knights_tour_worker", (8,)),
+    "othello": WorkloadSpec("repro.apps.othello", "othello_worker", (3,)),
+    "dct2": WorkloadSpec("repro.apps.dct2", "dct2_worker", (32, 8, 0.25, 11, False)),
+}
+
+#: A flag several subcommands share: its option string and its
+#: ``add_argument`` keywords.  Each is declared once, below; a subcommand
+#: overrides a default through :func:`command`'s ``defaults``.
+Flag = Tuple[str, Dict[str, Any]]
+
+PROCESSORS: Flag = (
+    "--processors", dict(type=int, default=4, help="DSE kernels (default: %(default)s)")
+)
+PLATFORM: Flag = (
+    "--platform",
+    dict(
+        choices=platform_names(), default="sunos",
+        help="Table-1 platform (default: %(default)s)",
+    ),
+)
+SEED: Flag = ("--seed", dict(type=int, help="random seed (default: %(default)s)"))
+#: the sweep trio of ``scale`` and ``traffic``; figures take the first two
+SWEEP: Tuple[Flag, ...] = (
+    ("--jobs", dict(
+        type=int, default=1,
+        help="worker processes for independent sweep points (default: %(default)s)",
+    )),
+    ("--no-cache", dict(
+        action="store_true", help="recompute every point, bypassing the on-disk result cache",
+    )),
+    ("--out", dict(default=None, help="write the merged sweep as deterministic JSON")),
+)
+
+
+def command(
+    name: str,
+    description: str,
+    flags: Sequence[Flag] = (),
+    workloads: Optional[Iterable[str]] = None,
+    **defaults: Any,
+) -> argparse.ArgumentParser:
+    """The parser of ``dse-experiments <name>``, holding the shared ``flags``.
+
+    ``workloads`` adds ``--workload`` with those choices (default
+    ``gauss-seidel``); ``defaults`` override the shared defaults.
+    """
+    parser = argparse.ArgumentParser(
+        prog=f"dse-experiments {name}".strip(), description=description
+    )
+    if workloads is not None:
+        parser.add_argument("--workload", choices=sorted(workloads), default="gauss-seidel")
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(**defaults)
+    return parser
+
+
+def cluster_config(args: argparse.Namespace, **fields: Any) -> ClusterConfig:
+    """The ClusterConfig of the ``--platform``/``--processors`` flags plus ``fields``."""
+    return ClusterConfig(
+        platform=get_platform(args.platform), n_processors=args.processors, **fields
+    )
+
+
+def write_out(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to the sweep's ``--out`` path, if one was given."""
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
+
+
+def sweep_cache(args: argparse.Namespace) -> Optional[ResultCache]:
+    """The result cache a sweep reads and fills, or None under ``--no-cache``."""
+    return None if args.no_cache else ResultCache()
 
 
 def _figure_task(params: dict) -> dict:
@@ -102,26 +141,46 @@ def _figure_task(params: dict) -> dict:
     return asdict(FIGURES[params["fig_id"]](fast=params["fast"]))
 
 
-def _trace_main(argv: List[str]) -> int:
-    """Run one workload traced and export Chrome trace (+ metrics) files."""
-    import importlib
-
-    from ..dse.config import ClusterConfig
-    from ..dse.runtime import run_parallel
-    from ..hardware.platforms import get_platform, platform_names
+def _export_trace(args, recorder, sampler, cluster) -> int:
+    """Write the Chrome trace and, with ``--metrics``, the series; an export
+    that would be empty is not written and makes the status 1."""
     from ..obs import write_chrome_trace, write_metrics_csv, write_metrics_jsonl
 
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments trace",
-        description="Run one workload with causal tracing and export the spans.",
+    status = 0
+    if not recorder.spans:
+        print(
+            f"no spans were recorded, so {args.out} was not written "
+            "(raise --span-limit, or check that the workload ran any work)"
+        )
+        status = 1
+    else:
+        n_events = write_chrome_trace(recorder, args.out, cluster=cluster)
+        dropped = f" ({recorder.dropped} spans dropped past limit)" if recorder.dropped else ""
+        print(f"wrote {n_events} trace events to {args.out}{dropped}")
+    if args.metrics:
+        if sampler is None or not sampler.samples_taken:
+            print(
+                f"no metric samples were taken, so {args.metrics} was not "
+                "written (pass a --metrics-interval shorter than the run)"
+            )
+            status = 1
+        else:
+            writer = write_metrics_jsonl if args.metrics.endswith(".jsonl") else write_metrics_csv
+            n_rows = writer(sampler, args.metrics)
+            print(f"wrote {n_rows} metric samples to {args.metrics}")
+    return status
+
+
+def trace_main(argv: List[str]) -> int:
+    """Run one workload traced and export Chrome trace (+ metrics) files."""
+    from ..dse.runtime import run_parallel
+
+    parser = command(
+        "trace",
+        "Run one workload with causal tracing and export the spans.",
+        [PROCESSORS, PLATFORM],
+        workloads=[*TRACE_WORKLOADS, "traffic"],
     )
-    parser.add_argument(
-        "--workload",
-        choices=sorted(_TRACE_WORKLOADS) + ["traffic"],
-        default="gauss-seidel",
-    )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", choices=platform_names(), default="sunos")
     parser.add_argument("--out", default="trace.json", help="Chrome trace output path")
     parser.add_argument(
         "--metrics", default=None,
@@ -135,6 +194,7 @@ def _trace_main(argv: List[str]) -> int:
         "--span-limit", type=int, default=None, help="cap on retained spans"
     )
     args = parser.parse_args(argv)
+    interval = args.metrics_interval if args.metrics else 0.0
 
     if args.workload == "traffic":
         # The traffic layer owns its simulator (no cluster); it mints
@@ -143,80 +203,39 @@ def _trace_main(argv: List[str]) -> int:
         from ..traffic.cli import run_traced_traffic
         from .timeline import span_census
 
-        engine = run_traced_traffic(
-            metrics_interval=args.metrics_interval if args.metrics else 0.0,
-        )
+        engine = run_traced_traffic(metrics_interval=interval)
         result = engine.result
         print(f"traffic clone-2 sweep point: elapsed {result.elapsed:.6f}s "
               f"simulated, {result.overall['count']:.0f} requests")
         print(span_census(engine.recorder, sim=engine.sim))
-        if not engine.recorder.spans:
-            print(f"no spans were recorded, so {args.out} was not written")
-            return 1
-        n_events = write_chrome_trace(engine.recorder, args.out, engine.cluster)
-        print(f"wrote {n_events} trace events to {args.out}")
-        if args.metrics:
-            if engine.sampler is None or not engine.sampler.samples_taken:
-                print(f"no metric samples were taken, so {args.metrics} "
-                      "was not written")
-                return 1
-            writer = (write_metrics_jsonl if args.metrics.endswith(".jsonl")
-                      else write_metrics_csv)
-            n_rows = writer(engine.sampler, args.metrics)
-            print(f"wrote {n_rows} metric samples to {args.metrics}")
-        return 0
+        return _export_trace(args, engine.recorder, engine.sampler, engine.cluster)
 
-    module_name, attr, worker_args = _TRACE_WORKLOADS[args.workload]
-    worker = getattr(importlib.import_module(module_name), attr)
-    config = ClusterConfig(
-        platform=get_platform(args.platform),
-        n_processors=args.processors,
-        obs_trace=True,
-        obs_metrics_interval=args.metrics_interval if args.metrics else 0.0,
-        obs_span_limit=args.span_limit,
+    spec = TRACE_WORKLOADS[args.workload]
+    config = cluster_config(
+        args, obs_trace=True, obs_metrics_interval=interval, obs_span_limit=args.span_limit
     )
-    result = run_parallel(config, worker, args=worker_args)
-    cluster = result.cluster
+    result = run_parallel(config, spec.resolve(), args=spec.args)
     print(
         f"{args.workload} p={args.processors} on {args.platform}: "
         f"elapsed {result.elapsed:.6f}s simulated"
     )
-    status = 0
-    if not cluster.obs.spans:
-        # Nothing recorded — an empty trace file would only mislead.
-        print(
-            f"no spans were recorded, so {args.out} was not written "
-            "(raise --span-limit, or check that the workload ran any work)"
-        )
-        status = 1
-    else:
-        n_events = write_chrome_trace(cluster.obs, args.out, cluster=cluster)
-        dropped = f" ({cluster.obs.dropped} spans dropped past limit)" if cluster.obs.dropped else ""
-        print(f"wrote {n_events} trace events to {args.out}{dropped}")
-    if args.metrics:
-        if cluster.metrics is None or not cluster.metrics.samples_taken:
-            print(
-                f"no metric samples were taken, so {args.metrics} was not "
-                "written (pass a --metrics-interval shorter than the run)"
-            )
-            status = 1
-        else:
-            writer = write_metrics_jsonl if args.metrics.endswith(".jsonl") else write_metrics_csv
-            n_rows = writer(cluster.metrics, args.metrics)
-            print(f"wrote {n_rows} metric samples to {args.metrics}")
-    return status
+    cluster = result.cluster
+    return _export_trace(args, cluster.obs, cluster.metrics, cluster)
 
 
-def _loss_sweep_main(argv: List[str]) -> int:
+def loss_sweep_main(argv: List[str]) -> int:
     """Tabulate transport goodput under Gilbert–Elliott burst loss."""
+    from ..network.topology import FABRIC_KINDS
     from ..perf.netbench import CANONICAL, LOSS_POINTS, TRANSPORTS, sweep_rows
     from ..protocol.transport import TRANSPORT_KINDS
     from ..util.tables import Table
 
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments loss-sweep",
-        description="Stream messages through each transport under burst "
-                    "loss; report goodput and speed-up vs stop-and-wait.",
+    parser = command(
+        "loss-sweep",
+        "Stream messages through each transport under burst loss; report "
+        "goodput and speed-up vs stop-and-wait.",
+        [SEED],
+        seed=CANONICAL["seed"],
     )
     parser.add_argument(
         "--transports", default=",".join(TRANSPORTS),
@@ -233,9 +252,7 @@ def _loss_sweep_main(argv: List[str]) -> int:
                              f"frames; default {CANONICAL['p_exit_bad']:g})")
     parser.add_argument("--messages", type=int, default=CANONICAL["n_messages"])
     parser.add_argument("--payload", type=int, default=CANONICAL["payload_bytes"])
-    parser.add_argument("--fabric", choices=("switch", "ethernet"),
-                        default=CANONICAL["fabric"])
-    parser.add_argument("--seed", type=int, default=CANONICAL["seed"])
+    parser.add_argument("--fabric", choices=FABRIC_KINDS, default=CANONICAL["fabric"])
     args = parser.parse_args(argv)
 
     transports = tuple(t.strip() for t in args.transports.split(",") if t.strip())
@@ -277,44 +294,16 @@ def _loss_sweep_main(argv: List[str]) -> int:
     return 0
 
 
-def main(argv: List[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "loss-sweep":
-        return _loss_sweep_main(argv[1:])
-    if argv and argv[0] == "traffic":
-        from ..traffic.cli import traffic_main
-
-        return traffic_main(argv[1:])
-    if argv and argv[0] == "scale":
-        from .scaling import scale_main
-
-        return scale_main(argv[1:])
-    if argv and argv[0] == "sanitize":
-        from ..sanitize.cli import sanitize_main
-
-        return sanitize_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        from ..resilience.cli import resilience_main
-
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "check":
-        from ..check.cli import check_main
-
-        return check_main(argv[1:])
-    if argv and argv[0] == "replay":
-        from ..replay.cli import replay_main
-
-        return replay_main(argv[1:])
-    if argv and argv[0] == "live":
-        from ..replay.cli import live_main
-
-        return live_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments",
-        description="Regenerate the tables/figures of the DSE/SSI paper (ICPP 1999).",
+def _figures_main(argv: List[str]) -> int:
+    """Regenerate the requested figures (the default, subcommand-less mode)."""
+    parser = command(
+        "",
+        "Regenerate the tables/figures of the DSE/SSI paper (ICPP 1999).",
+        SWEEP[:2],
+    )
+    parser.epilog = (
+        f"subcommands: {', '.join(SUBCOMMANDS)} "
+        "(dse-experiments SUBCOMMAND --help describes each)"
     )
     parser.add_argument(
         "figures",
@@ -331,14 +320,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--plot", action="store_true", help="also draw each figure as an ASCII chart"
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for independent figures (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every figure, bypassing the on-disk result cache",
-    )
     args = parser.parse_args(argv)
 
     if args.list or not args.figures:
@@ -354,10 +335,7 @@ def main(argv: List[str] | None = None) -> int:
     # Compute every requested figure up front — independent simulations, so
     # they fan across the pool and hit the result cache — then render and
     # check in the requested order (deterministic merge).
-    from .figures import FigureData
-    from .parallel import ResultCache, run_tasks
-
-    cache = None if args.no_cache else ResultCache()
+    cache = sweep_cache(args)
     sweep_start = time.perf_counter()
     raw = run_tasks(
         _figure_task,
@@ -390,6 +368,25 @@ def main(argv: List[str] | None = None) -> int:
         summary += f"; {cache.summary()}"
     print(summary)
     return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``dse-experiments``: run a subcommand, else regenerate figures.
+
+    A subcommand refused for a bad knob value (:class:`ConfigurationError`)
+    prints the reason and exits 2, like an argparse usage error.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return _figures_main(argv)
+    name, rest = argv[0], argv[1:]
+    module, _, func = SUBCOMMANDS[name].partition(":")
+    run = getattr(importlib.import_module(module), func)
+    try:
+        return run(rest)
+    except ConfigurationError as exc:
+        print(f"dse-experiments {name}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,13 +27,14 @@ speed-ups are derived *after* the deterministic merge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..dse.config import ClusterConfig
 from ..dse.runtime import run_parallel
 from ..hardware.platforms import get_platform
-from ..network.topology import FabricConfig
+from ..network.topology import FABRIC_KINDS, FabricConfig
+from ..replay.recording import WorkloadSpec
 from ..util.tables import Table
 from .parallel import ResultCache, run_tasks
 
@@ -61,10 +62,16 @@ def _knights_tour_args(nodes: int, size: int) -> tuple:
     return (max(2 * nodes, size), 5, 0)
 
 
-#: workload key -> (import path, worker attr, args builder(nodes, size))
-SCALE_WORKLOADS: Dict[str, Tuple[str, str, Callable[[int, int], tuple]]] = {
-    "gauss-seidel": ("repro.apps.gauss_seidel", "gauss_seidel_worker", _gauss_seidel_args),
-    "knights-tour": ("repro.apps.knights_tour", "knights_tour_worker", _knights_tour_args),
+#: workload key -> its worker; the run's args come from _SCALE_ARGS
+SCALE_WORKLOADS = {
+    "gauss-seidel": WorkloadSpec("repro.apps.gauss_seidel", "gauss_seidel_worker"),
+    "knights-tour": WorkloadSpec("repro.apps.knights_tour", "knights_tour_worker"),
+}
+
+#: workload key -> args builder(nodes, size)
+_SCALE_ARGS: Dict[str, Callable[[int, int], tuple]] = {
+    "gauss-seidel": _gauss_seidel_args,
+    "knights-tour": _knights_tour_args,
 }
 
 #: default problem size per workload (gauss-seidel: matrix order;
@@ -95,34 +102,11 @@ class ScalePoint:
         return self.msgs / self.nodes
 
     def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "nodes": self.nodes,
-            "fabric": self.fabric,
-            "batching": self.batching,
-            "elapsed": self.elapsed,
-            "msgs": self.msgs,
-            "events": self.events,
-            "wall_seconds": self.wall_seconds,
-            "speedup": self.speedup,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScalePoint":
         return cls(**payload)
-
-
-def _resolve_worker(workload: str) -> Callable[..., Generator]:
-    import importlib
-
-    try:
-        module_name, attr, _ = SCALE_WORKLOADS[workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown scale workload {workload!r}; expected {sorted(SCALE_WORKLOADS)}"
-        ) from None
-    return getattr(importlib.import_module(module_name), attr)
 
 
 def measure_scale_point(
@@ -139,9 +123,8 @@ def measure_scale_point(
     ``machines`` defaults to ``nodes`` — a real large cluster, one kernel
     per machine; pass fewer to study virtual-cluster doubling at scale.
     """
-    worker = _resolve_worker(workload)
-    args_of = SCALE_WORKLOADS[workload][2]
-    args = args_of(nodes, DEFAULT_SIZE[workload] if size is None else size)
+    worker = SCALE_WORKLOADS[workload].resolve()
+    args = _SCALE_ARGS[workload](nodes, DEFAULT_SIZE[workload] if size is None else size)
     config = ClusterConfig(
         platform=get_platform(platform),
         n_processors=nodes,
@@ -189,15 +172,10 @@ def scale_sweep(
     pool; ``cache`` reuses prior identical runs.  Speed-ups are computed
     from the merged results, so output is independent of scheduling.
     """
-    tasks = [
-        {"workload": workload, "nodes": 1, "fabric": fabric, "batching": batching,
-         "machines": 1, "platform": platform, "size": size}
-    ]
-    for n in nodes:
-        tasks.append(
-            {"workload": workload, "nodes": n, "fabric": fabric, "batching": batching,
-             "machines": machines, "platform": platform, "size": size}
-        )
+    common = {"workload": workload, "fabric": fabric, "batching": batching,
+              "platform": platform, "size": size}
+    tasks = [{**common, "nodes": 1, "machines": 1}]
+    tasks += [{**common, "nodes": n, "machines": machines} for n in nodes]
     raw = run_tasks(_scale_task, tasks, jobs=jobs, cache=cache, namespace="scale")
     baseline, *rest = [ScalePoint.from_dict(r) for r in raw]
     for point in rest:
@@ -289,21 +267,21 @@ def parse_int_list(text: str) -> Tuple[int, ...]:
 
 def scale_main(argv: List[str]) -> int:
     """``dse-experiments scale`` — sweep a workload across cluster sizes."""
-    import argparse
+    from .cli import PLATFORM, SWEEP, command, sweep_cache, write_out
 
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments scale",
-        description="Measure DSE scaling on large virtual clusters.",
-    )
-    parser.add_argument(
-        "--workload", choices=sorted(SCALE_WORKLOADS), default="gauss-seidel"
+    parser = command(
+        "scale",
+        "Measure DSE scaling on large virtual clusters.",
+        [PLATFORM, *SWEEP],
+        workloads=SCALE_WORKLOADS,
+        platform="linux",
     )
     parser.add_argument(
         "--nodes", type=parse_int_list, default=DEFAULT_NODES,
         help="comma-separated processor counts (default: %(default)s)",
     )
     parser.add_argument(
-        "--fabric", choices=("ethernet", "switch"), default="switch",
+        "--fabric", choices=FABRIC_KINDS, default="switch",
         help="network fabric (default: switch; ethernet is the paper's bus)",
     )
     parser.add_argument(
@@ -314,26 +292,13 @@ def scale_main(argv: List[str]) -> int:
         "--machines", type=int, default=None,
         help="physical machines (default: one per node; fewer doubles kernels up)",
     )
-    parser.add_argument("--platform", default="linux")
     parser.add_argument(
         "--size", type=int, default=None,
         help="problem size (gauss-seidel: matrix order; knights-tour: min jobs)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for independent sweep points (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every point, bypassing the on-disk result cache",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="write the sweep as deterministic JSON (wall-clock excluded)",
-    )
     args = parser.parse_args(argv)
 
-    cache = None if args.no_cache else ResultCache()
+    cache = sweep_cache(args)
     points = scale_sweep(
         args.workload,
         nodes=args.nodes,
@@ -348,9 +313,5 @@ def scale_main(argv: List[str]) -> int:
     print(scale_table(points, title=f"{args.workload} scaling ({args.platform})").render())
     if cache is not None:
         print(cache.summary())
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(sweep_canonical(points))
-        print(f"wrote {args.out}")
+    write_out(args, sweep_canonical(points))
     return 0

@@ -16,7 +16,10 @@ from .ethernet import EthernetBus
 from .nic import NIC
 from .switch import SwitchedLAN
 
-__all__ = ["FabricConfig", "ClusterNetwork", "build_network"]
+__all__ = ["FABRIC_KINDS", "FabricConfig", "ClusterNetwork", "build_network"]
+
+#: the buildable fabrics: the paper's shared-bus Ethernet, and a switched LAN
+FABRIC_KINDS = ("ethernet", "switch")
 
 Fabric = Union[EthernetBus, SwitchedLAN]
 
@@ -25,7 +28,7 @@ Fabric = Union[EthernetBus, SwitchedLAN]
 class FabricConfig:
     """Which fabric to build and its parameters."""
 
-    kind: str = "ethernet"  # "ethernet" (shared bus) or "switch"
+    kind: str = "ethernet"  # one of FABRIC_KINDS
     rate_bps: float = 10e6
     #: switch only: forward after the header arrives (cut-through) instead
     #: of buffering the whole frame (store-and-forward)
@@ -34,7 +37,7 @@ class FabricConfig:
     forward_latency: float = 15e-6
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ethernet", "switch"):
+        if self.kind not in FABRIC_KINDS:
             raise ConfigurationError(f"unknown fabric kind {self.kind!r}")
         if self.rate_bps <= 0:
             raise ConfigurationError("fabric rate must be positive")

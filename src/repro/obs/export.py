@@ -114,9 +114,8 @@ def chrome_trace_events(
     return events
 
 
-def chrome_trace_json(recorder: SpanRecorder, cluster: Any = None) -> str:
-    """The full Chrome trace file content as a JSON string."""
-    doc = {
+def _chrome_trace_doc(recorder: SpanRecorder, cluster: Any) -> Dict[str, Any]:
+    return {
         "traceEvents": chrome_trace_events(recorder, cluster),
         "displayTimeUnit": "ms",
         "otherData": {
@@ -125,26 +124,21 @@ def chrome_trace_json(recorder: SpanRecorder, cluster: Any = None) -> str:
             "dropped": recorder.dropped,
         },
     }
-    return json.dumps(doc)
+
+
+def chrome_trace_json(recorder: SpanRecorder, cluster: Any = None) -> str:
+    """The full Chrome trace file content as a JSON string."""
+    return json.dumps(_chrome_trace_doc(recorder, cluster))
 
 
 def write_chrome_trace(
     recorder: SpanRecorder, path: str, cluster: Any = None
 ) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count."""
-    events = chrome_trace_events(recorder, cluster)
-    doc = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.obs",
-            "spans": len(recorder.spans),
-            "dropped": recorder.dropped,
-        },
-    }
+    doc = _chrome_trace_doc(recorder, cluster)
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    return len(events)
+    return len(doc["traceEvents"])
 
 
 # -- series export -----------------------------------------------------------

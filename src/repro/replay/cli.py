@@ -21,10 +21,10 @@ Installed under ``dse-experiments``::
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional
 
 from ..errors import ReplayError, ReproError
+from ..experiments.cli import PLATFORM, PROCESSORS, SEED, cluster_config, command
 from .config import ReplayConfig
 from .recording import Recording, WorkloadSpec, record
 from .session import ReplaySession
@@ -55,24 +55,7 @@ _REPLAY_WORKLOADS = {
     ),
 }
 
-
-def _build_config(args, spec_replay: Optional[ReplayConfig] = None):
-    from ..dse.config import ClusterConfig
-    from ..hardware.platforms import get_platform
-
-    return ClusterConfig(
-        platform=get_platform(args.platform),
-        n_processors=args.processors,
-        seed=args.seed,
-        obs_trace=not args.no_obs,
-        replay=spec_replay
-        if spec_replay is not None
-        else ReplayConfig(
-            ring_size=args.ring,
-            snapshot_interval=args.interval,
-            charge_bps=args.charge_bps,
-        ),
-    )
+_CLUSTER_FLAGS = (PROCESSORS, PLATFORM, SEED)
 
 
 def _print_recording(recording: Recording) -> None:
@@ -198,17 +181,14 @@ def _interact(session: ReplaySession) -> None:
 
 
 def replay_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments replay",
-        description="Record a workload, then seek/inspect/resume any "
-        "simulated instant of it (see docs/debugging.md).",
+    parser = command(
+        "replay",
+        "Record a workload, then seek/inspect/resume any simulated instant "
+        "of it (see docs/debugging.md).",
+        _CLUSTER_FLAGS,
+        workloads=_REPLAY_WORKLOADS,
+        seed=1999,
     )
-    parser.add_argument(
-        "--workload", choices=sorted(_REPLAY_WORKLOADS), default="gauss-seidel"
-    )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", default="sunos")
-    parser.add_argument("--seed", type=int, default=1999)
     parser.add_argument(
         "--ring", type=int, default=4, help="checkpoint ring size (default 4)"
     )
@@ -268,9 +248,15 @@ def replay_main(argv: List[str]) -> int:
             recording = Recording.load(args.load)
             print(f"loaded {args.load}")
         else:
-            spec = _REPLAY_WORKLOADS[args.workload]
-            config = _build_config(args)
-            recording = record(config, spec=spec)
+            replay = ReplayConfig(
+                ring_size=args.ring,
+                snapshot_interval=args.interval,
+                charge_bps=args.charge_bps,
+            )
+            config = cluster_config(
+                args, seed=args.seed, obs_trace=not args.no_obs, replay=replay
+            )
+            recording = record(config, spec=_REPLAY_WORKLOADS[args.workload])
         _print_recording(recording)
         if args.record:
             recording.save(args.record)
@@ -338,17 +324,14 @@ def replay_main(argv: List[str]) -> int:
 def live_main(argv: List[str]) -> int:
     from .live import LiveSink, live_run
 
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments live",
-        description="Run a workload while streaming metrics/topology/span "
-        "summaries as JSON lines (file and/or local TCP).",
+    parser = command(
+        "live",
+        "Run a workload while streaming metrics/topology/span summaries as "
+        "JSON lines (file and/or local TCP).",
+        _CLUSTER_FLAGS,
+        workloads=_REPLAY_WORKLOADS,
+        seed=1999,
     )
-    parser.add_argument(
-        "--workload", choices=sorted(_REPLAY_WORKLOADS), default="gauss-seidel"
-    )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", default="sunos")
-    parser.add_argument("--seed", type=int, default=1999)
     parser.add_argument(
         "--out", default=None, help="JSONL output path (tail -f friendly)"
     )
@@ -368,16 +351,9 @@ def live_main(argv: List[str]) -> int:
     if not args.out and args.port is None:
         parser.error("nothing to stream to: pass --out PATH and/or --port N")
 
-    from ..dse.config import ClusterConfig
-    from ..hardware.platforms import get_platform
-
     spec = _REPLAY_WORKLOADS[args.workload]
-    config = ClusterConfig(
-        platform=get_platform(args.platform),
-        n_processors=args.processors,
-        seed=args.seed,
-        obs_trace=not args.no_obs,
-        replay=ReplayConfig(),
+    config = cluster_config(
+        args, seed=args.seed, obs_trace=not args.no_obs, replay=ReplayConfig()
     )
     sink = LiveSink(path=args.out, port=args.port)
     if sink.port is not None:

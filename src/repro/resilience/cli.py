@@ -22,40 +22,30 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
 from typing import List
+
+import numpy as np
+
+from ..apps import DEFAULT_SWEEPS, count_tours_seq
+from ..dse.runtime import run_parallel
+from ..experiments.cli import PLATFORM, PROCESSORS, SEED, cluster_config, command
+from .campaign import CrashPlan, FaultCampaign, random_crashes
+from .config import ResilienceConfig
+from .runner import run_resilient, run_resilient_master
+from .workloads import resilient_gauss_seidel, resilient_tour_master
 
 __all__ = ["resilience_main"]
 
 
 def _spmd_report(args) -> int:
-    import numpy as np
-
-    from ..apps.gauss_seidel import DEFAULT_SWEEPS
-    from ..dse.config import ClusterConfig
-    from ..dse.runtime import run_parallel
-    from ..hardware.platforms import get_platform
-    from .campaign import CrashPlan, FaultCampaign
-    from .config import ResilienceConfig
-    from .runner import run_resilient
-    from .workloads import resilient_gauss_seidel
-
     n, sweeps, seed = args.n, DEFAULT_SWEEPS, 7
-    platform = get_platform(args.platform)
-
-    def config(resilience):
-        return ClusterConfig(
-            platform=platform, n_processors=args.processors, resilience=resilience
-        )
-
+    resilient = cluster_config(args, resilience=ResilienceConfig())
     base = run_parallel(
-        config(None),
+        cluster_config(args),
         lambda api, *a: resilient_gauss_seidel(api, None, *a),
         args=(n, sweeps, seed),
     )
-    clean = run_resilient(
-        config(ResilienceConfig()), resilient_gauss_seidel, args=(n, sweeps, seed)
-    )
+    clean = run_resilient(resilient, resilient_gauss_seidel, args=(n, sweeps, seed))
     campaign = FaultCampaign(
         crashes=[
             CrashPlan(
@@ -66,7 +56,7 @@ def _spmd_report(args) -> int:
         ]
     )
     faulty = run_resilient(
-        config(ResilienceConfig()),
+        resilient,
         resilient_gauss_seidel,
         args=(n, sweeps, seed),
         campaign=campaign,
@@ -113,19 +103,7 @@ def _spmd_report(args) -> int:
 
 
 def _farm_report(args) -> int:
-    from ..apps.knights_tour import count_tours_seq
-    from ..dse.config import ClusterConfig
-    from ..hardware.platforms import get_platform
-    from .campaign import FaultCampaign, random_crashes
-    from .config import ResilienceConfig
-    from .runner import run_resilient_master
-    from .workloads import resilient_tour_master
-
-    config = ClusterConfig(
-        platform=get_platform(args.platform),
-        n_processors=args.processors,
-        resilience=ResilienceConfig(),
-    )
+    config = cluster_config(args, resilience=ResilienceConfig())
     crashes = random_crashes(
         seed=args.seed,
         n_crashes=args.crashes,
@@ -164,18 +142,16 @@ def _farm_report(args) -> int:
 
 def resilience_main(argv: List[str]) -> int:
     """Entry point for the ``resilience`` subcommand."""
-    from ..hardware.platforms import platform_names
-
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments resilience",
-        description="Crash paper workloads mid-run and measure the recovery.",
+    parser = command(
+        "resilience",
+        "Crash paper workloads mid-run and measure the recovery.",
+        [PROCESSORS, PLATFORM, SEED],
+        seed=3,
     )
     parser.add_argument(
         "--mode", choices=["spmd", "farm", "both"], default="both",
         help="checkpoint/rollback (spmd), task reassignment (farm), or both",
     )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", choices=platform_names(), default="sunos")
     parser.add_argument("--n", type=int, default=96, help="Gauss-Seidel dimension")
     parser.add_argument("--jobs", type=int, default=24, help="farm job count")
     parser.add_argument(
@@ -189,7 +165,6 @@ def resilience_main(argv: List[str]) -> int:
         "--restart-after", type=float, default=0.02,
         help="spmd victim reboot delay in simulated seconds",
     )
-    parser.add_argument("--seed", type=int, default=3, help="farm campaign seed")
     parser.add_argument(
         "--crashes", type=int, default=1, help="number of farm crashes"
     )

@@ -18,90 +18,32 @@ Examples::
 
 from __future__ import annotations
 
-import argparse
 from typing import List
+
+from ..dse.runtime import run_parallel
+from ..errors import DSEError
+from ..experiments.cli import PLATFORM, PROCESSORS, TRACE_WORKLOADS, cluster_config, command
+from . import demo
 
 __all__ = ["sanitize_main"]
 
 
-def _run_workload(key: str, processors: int, platform: str, batching: bool):
-    """One sanitized run of a paper workload; returns its SanitizeReport."""
-    import importlib
-
-    from ..dse.config import ClusterConfig
-    from ..dse.runtime import run_parallel
-    from ..experiments.cli import _TRACE_WORKLOADS
-    from ..hardware.platforms import get_platform
-
-    module_name, attr, worker_args = _TRACE_WORKLOADS[key]
-    worker = getattr(importlib.import_module(module_name), attr)
-    config = ClusterConfig(
-        platform=get_platform(platform),
-        n_processors=processors,
-        gmem_batching=batching,
-        sanitize=True,
-    )
-    result = run_parallel(config, worker, args=worker_args)
-    return result.cluster.sanitizer.report
-
-
-def _demo_runs(processors: int, platform: str) -> List[tuple]:
-    """(name, report, flagged) for every buggy demo guest."""
-    from ..dse.config import ClusterConfig
-    from ..dse.runtime import run_parallel
-    from ..errors import DSEError
-    from ..hardware.platforms import get_platform
-    from . import demo
-
-    cases = [
-        ("racy-counter", demo.racy_counter_worker, lambda r: bool(r.races)),
-        (
-            "impossible-barrier",
-            demo.impossible_barrier_worker,
-            lambda r: bool(r.barrier_faults),
-        ),
-        ("lock-cycle", demo.lock_cycle_worker, lambda r: bool(r.lock_cycles)),
-        ("locked-counter (clean)", demo.locked_counter_worker, lambda r: r.clean),
-    ]
-    out = []
-    for name, worker, check in cases:
-        config = ClusterConfig(
-            platform=get_platform(platform),
-            n_processors=processors,
-            sanitize=True,
-        )
-        try:
-            result = run_parallel(config, worker)
-            report = result.cluster.sanitizer.report
-        except DSEError as exc:
-            # Deadlocked demos drain; the runtime attaches the cluster.
-            report = exc.cluster.sanitizer.report
-        out.append((name, report, check(report)))
-    return out
-
-
 def sanitize_main(argv: List[str]) -> int:
     """Entry point for the ``sanitize`` subcommand."""
-    from ..experiments.cli import _TRACE_WORKLOADS
-    from ..hardware.platforms import platform_names
-
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments sanitize",
-        description="Run guest programs under the race/deadlock sanitizers.",
+    parser = command(
+        "sanitize",
+        "Run guest programs under the race/deadlock sanitizers.",
+        [PROCESSORS, PLATFORM],
+        workloads=TRACE_WORKLOADS,
+        workload=None,
     )
     parser.add_argument(
-        "--workload", choices=sorted(_TRACE_WORKLOADS), default=None,
-        help="one paper workload (default: --all)",
-    )
-    parser.add_argument(
-        "--all", action="store_true", help="run every paper workload"
+        "--all", action="store_true", help="run every paper workload (the default)"
     )
     parser.add_argument(
         "--demo", action="store_true",
         help="run the intentionally buggy demo guests instead",
     )
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--platform", choices=platform_names(), default="sunos")
     parser.add_argument(
         "--batching", action="store_true",
         help="also exercise the gmem batching fast path",
@@ -109,17 +51,36 @@ def sanitize_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.demo:
+        # (name, worker, did the sanitizer flag what it should?)
+        cases = [
+            ("racy-counter", demo.racy_counter_worker, lambda r: bool(r.races)),
+            (
+                "impossible-barrier",
+                demo.impossible_barrier_worker,
+                lambda r: bool(r.barrier_faults),
+            ),
+            ("lock-cycle", demo.lock_cycle_worker, lambda r: bool(r.lock_cycles)),
+            ("locked-counter (clean)", demo.locked_counter_worker, lambda r: r.clean),
+        ]
+        config = cluster_config(args, sanitize=True)
         failures = 0
-        for name, report, ok in _demo_runs(args.processors, args.platform):
-            status = "OK" if ok else "MISSED"
-            print(f"[{status}] {name}: {report.summary()}")
+        for name, worker, check in cases:
+            try:
+                report = run_parallel(config, worker).cluster.sanitizer.report
+            except DSEError as exc:
+                # Deadlocked demos drain; the runtime attaches the cluster.
+                report = exc.cluster.sanitizer.report
+            ok = check(report)
+            print(f"[{'OK' if ok else 'MISSED'}] {name}: {report.summary()}")
             failures += 0 if ok else 1
         return 1 if failures else 0
 
-    workloads = sorted(_TRACE_WORKLOADS) if (args.all or not args.workload) else [args.workload]
+    workloads = sorted(TRACE_WORKLOADS) if (args.all or not args.workload) else [args.workload]
+    config = cluster_config(args, gmem_batching=args.batching, sanitize=True)
     dirty = 0
     for key in workloads:
-        report = _run_workload(key, args.processors, args.platform, args.batching)
+        spec = TRACE_WORKLOADS[key]
+        report = run_parallel(config, spec.resolve(), args=spec.args).cluster.sanitizer.report
         if report.clean:
             print(f"[CLEAN] {key} p={args.processors} batching={args.batching}")
         else:

@@ -16,12 +16,12 @@ see :mod:`repro.traffic.cluster_backend`; this is the mode behind the
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Tuple
 
+from ..experiments.cli import SEED, SWEEP, command, sweep_cache, write_out
 from ..resilience.campaign import CrashPlan
 from ..util.tables import Table
 from .arrivals import Exponential, Pareto, PoissonArrivals, make_arrivals
@@ -34,6 +34,8 @@ __all__ = ["traffic_main", "build_sweep_config", "run_traced_traffic"]
 DEFAULT_POLICIES = ("random", "jsq", "clone-2")
 DEFAULT_LOADS = (0.35, 0.55, 0.75)
 DEFAULT_REQUESTS = 120_000
+#: full-stack requests are ~1000x costlier than PS-engine ones
+DEFAULT_CLUSTER_REQUESTS = 200
 DEFAULT_SERVERS = 8
 
 
@@ -106,16 +108,7 @@ def build_sweep_config(
 
 def _sweep_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """One sweep point as a picklable, cacheable top-level task."""
-    config = build_sweep_config(
-        policy=params["policy"],
-        rho=params["rho"],
-        requests=params["requests"],
-        seed=params["seed"],
-        n_servers=params["n_servers"],
-        elastic=params["elastic"],
-        crashes=params["crashes"],
-    )
-    result = run_traffic(config)
+    result = run_traffic(build_sweep_config(**params))
     out = result.canonical()
     out["rho"] = params["rho"]
     return out
@@ -132,12 +125,8 @@ def run_traced_traffic(
     Returns the finished engine so the caller can export
     ``engine.recorder`` (Chrome trace) and ``engine.sampler`` (metrics).
     """
-    config = build_sweep_config("clone-2", 0.55, requests, seed=seed)
-    config = TrafficConfig(
-        tenants=config.tenants,
-        n_servers=config.n_servers,
-        policy=config.policy,
-        seed=config.seed,
+    config = replace(
+        build_sweep_config("clone-2", 0.55, requests, seed=seed),
         obs_trace=True,
         span_sample=span_sample,
         metrics_interval=metrics_interval,
@@ -148,7 +137,7 @@ def run_traced_traffic(
 
 
 def _sweep_main(args) -> int:
-    from ..experiments.parallel import ResultCache, run_tasks
+    from ..experiments.parallel import run_tasks
 
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     loads = tuple(float(x) for x in args.loads.split(","))
@@ -173,7 +162,7 @@ def _sweep_main(args) -> int:
         for rho in loads
     ]
     total = requests * len(grid)
-    cache = None if args.no_cache else ResultCache()
+    cache = sweep_cache(args)
     start = time.perf_counter()
     points = run_tasks(
         _sweep_task, grid, jobs=args.jobs, cache=cache, namespace="traffic"
@@ -220,11 +209,8 @@ def _sweep_main(args) -> int:
         summary += f"; {cache.summary()}"
     print(summary)
 
-    if args.out:
-        doc = {"points": points, "seed": args.seed, "servers": args.servers}
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        print(f"wrote {args.out}")
+    doc = {"points": points, "seed": args.seed, "servers": args.servers}
+    write_out(args, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0
 
 
@@ -258,18 +244,19 @@ def _cluster_main(args) -> int:
         f"{summary['elapsed']:.4f}",
     )
     print(table.render())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, indent=1) + "\n")
-        print(f"wrote {args.out}")
+    write_out(args, json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return 0
 
 
-def traffic_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dse-experiments traffic",
-        description="Multi-tenant request traffic: the PS-engine sweep, or "
-                    "the full-stack cluster mode (--cluster).",
+def traffic_main(argv: List[str]) -> int:
+    from ..protocol.transport import TRANSPORT_KINDS
+
+    parser = command(
+        "traffic",
+        "Multi-tenant request traffic: the PS-engine sweep, or the full-stack "
+        "cluster mode (--cluster).",
+        [SEED, *SWEEP],
+        seed=7,
     )
     parser.add_argument("--policies", default=",".join(DEFAULT_POLICIES),
                         help="comma list: random, rr, jsq, lwl, clone-<d> "
@@ -277,24 +264,21 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--loads", default=",".join(f"{x:g}" for x in DEFAULT_LOADS),
                         help="comma list of per-server loads rho "
                              f"(default {','.join(f'{x:g}' for x in DEFAULT_LOADS)})")
-    parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS,
-                        help=f"requests per sweep point (default {DEFAULT_REQUESTS})")
+    parser.add_argument("--requests", type=int, default=None,
+                        help=f"requests per sweep point (default {DEFAULT_REQUESTS}); "
+                             f"with --cluster, requests in all (default "
+                             f"{DEFAULT_CLUSTER_REQUESTS})")
     parser.add_argument("--servers", type=int, default=DEFAULT_SERVERS)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--elastic", action="store_true",
                         help="enable the autoscaler (min n/2, max 2n)")
     parser.add_argument("--crashes", type=int, default=0,
                         help="crash this many servers mid-run (engine mode)")
     parser.add_argument("--fast", action="store_true",
                         help="tiny grid for smoke tests")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--out", default=None,
-                        help="write the merged sweep as canonical JSON")
     parser.add_argument("--cluster", action="store_true",
                         help="full-stack mode: real DSE kernels + transport")
-    parser.add_argument("--transport", default="datagram",
-                        help="cluster mode: datagram/reliable/reliable-gbn/sr/dual")
+    parser.add_argument("--transport", choices=TRANSPORT_KINDS, default="datagram",
+                        help="cluster mode: the DSE transport (default datagram)")
     parser.add_argument("--loss", type=float, default=0.0,
                         help="cluster mode: Gilbert-Elliott p_enter_bad")
     parser.add_argument("--p-exit", dest="p_exit", type=float, default=0.25)
@@ -307,13 +291,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--payload", type=int, default=0,
                         help="cluster mode: global-memory words each request "
                              "reads + writes back (bulk-data lane under dual)")
-    args = parser.parse_args(argv if argv is not None else sys.argv[1:])
-    if args.cluster:
-        if args.requests == DEFAULT_REQUESTS:
-            args.requests = 200  # full-stack requests are ~1000x costlier
-        return _cluster_main(args)
-    return _sweep_main(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(traffic_main())
+    args = parser.parse_args(argv)
+    if args.requests is None:
+        args.requests = DEFAULT_CLUSTER_REQUESTS if args.cluster else DEFAULT_REQUESTS
+    return _cluster_main(args) if args.cluster else _sweep_main(args)

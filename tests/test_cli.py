@@ -1,0 +1,90 @@
+"""Tests for the ``dse-experiments`` command surface: the subcommand
+registry, its help, knob refusals, and the lazy-import boundary."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.cli import SUBCOMMANDS, main
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _exit_code(argv):
+    """``main(argv)``'s status, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_subcommand_answers_help(name, capsys):
+    assert _exit_code([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: dse-experiments {name} ")
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert [name for name in SUBCOMMANDS if name not in out] == []
+
+
+def test_list_output_is_unchanged(capsys):
+    assert main(["--list"]) == 0
+    assert capsys.readouterr().out == (
+        "available figures: table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 "
+        "fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["live", "--platform", "bogus", "--out", "unused.jsonl"],
+        ["scale", "--platform", "bogus", "--nodes", "2", "--size", "8", "--no-cache"],
+        ["replay", "--platform", "bogus"],
+        ["traffic", "--cluster", "--transport", "bogus", "--requests", "4"],
+        ["trace", "--processors", "0", "--out", "unused.json"],
+    ],
+)
+def test_bad_knob_values_are_refused_with_a_reason(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert f"dse-experiments {argv[0]}: error: " in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_traffic_cluster_keeps_an_explicit_request_count(monkeypatch):
+    from repro.traffic import cluster_backend
+
+    seen = []
+
+    def fake_run(**kwargs):
+        seen.append(kwargs["n_requests"])
+        return {"transport": kwargs["transport"], "count": kwargs["n_requests"],
+                "mean": 0.0, "p50": 0.0, "p99": 0.0, "goodput_rps": 0.0,
+                "elapsed": 0.0}
+
+    monkeypatch.setattr(cluster_backend, "run_cluster_traffic", fake_run)
+    assert main(["traffic", "--cluster", "--requests", "120000"]) == 0
+    assert main(["traffic", "--cluster"]) == 0
+    assert seen == [120_000, 200]
+
+
+def test_simulation_packages_do_not_import_the_cli():
+    code = (
+        "import sys, repro.dse, repro.apps, repro.traffic\n"
+        "bad = [m for m in sys.modules if m == 'argparse'"
+        " or m.startswith(('repro.experiments', 'repro.replay'))]\n"
+        "assert not bad, bad\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        check=True,
+    )

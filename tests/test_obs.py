@@ -316,6 +316,7 @@ def test_chrome_trace_json_well_formed(tmp_path):
     path = tmp_path / "trace.json"
     count = write_chrome_trace(cluster.obs, str(path), cluster=cluster)
     on_disk = json.loads(path.read_text())
+    assert on_disk == json.loads(chrome_trace_json(cluster.obs, cluster))
     assert len(on_disk["traceEvents"]) == count
     assert on_disk["otherData"]["dropped"] == 0
 

@@ -11,8 +11,6 @@ Three families:
   report/stats/CLI surfaces carry the findings.
 """
 
-import importlib
-
 import pytest
 
 from repro.dse import ClusterConfig, run_master, run_parallel
@@ -224,12 +222,11 @@ def test_contended_lock_without_cycle_is_not_flagged():
     "workload", ["gauss-seidel", "knights-tour", "othello", "dct2"]
 )
 def test_paper_apps_are_race_free(workload, batching):
-    from repro.experiments.cli import _TRACE_WORKLOADS
+    from repro.experiments.cli import TRACE_WORKLOADS
 
-    module_name, attr, args = _TRACE_WORKLOADS[workload]
-    worker = getattr(importlib.import_module(module_name), attr)
+    spec = TRACE_WORKLOADS[workload]
     _result, report = sanitized_run(
-        worker, args=args, gmem_batching=batching
+        spec.resolve(), args=spec.args, gmem_batching=batching
     )
     assert report.clean, f"{workload} batching={batching}:\n{report.format()}"
 
