@@ -7,13 +7,13 @@ Charges follow the paper's accounting of user-level DSE overheads:
 * **receive path** — the arrival raises an (accounted) SIGIO, then the
   reader pays context switch + ``recvfrom`` syscall + protocol processing.
 
-Every message pays these bursts, so the socket submits each one to the
-process's CPU itself and yields its completion event directly, with the
-syscall costs computed once per socket (:func:`~.syscall.syscall_cost`):
-the same bursts, counters and events as going through
-:meth:`UnixProcess.syscall` / :meth:`UnixProcess.compute_seconds` (both
-built on :meth:`UnixProcess.syscall_burst` / :meth:`UnixProcess.burst`),
-without a nested generator per burst.
+Each call submits its whole charge as one CPU burst, counted as one
+syscall (:meth:`UnixProcess.syscall_burst`) and yielded directly, summed
+left to right with the per-message part computed once per socket::
+
+    sendto: sendto + protocol_per_message + protocol_per_byte * bytes
+    recv:   signal_delivery + context_switch + recvfrom
+            + protocol_per_message + protocol_per_byte * bytes
 
 When observability is enabled (``ClusterConfig(obs_trace=True)``) and the
 caller supplies a trace context, both paths record spans: ``sock.send``
@@ -52,12 +52,12 @@ class Socket:
         self.machine = proc.machine
         self.mailbox: Mailbox = self.machine.transport.bind(port)
         self.closed = False
-        #: the platform's cost table, read on every send and receive
-        self._costs = costs = proc.platform.os_costs
-        self._sendto_cost = syscall_cost(costs.syscall, "sendto")
-        self._recvfrom_cost = syscall_cost(costs.syscall, "recvfrom")
-        #: SIGIO delivery plus the switch to the woken reader
-        self._wakeup_cost = costs.signal_delivery + costs.context_switch
+        costs = proc.platform.os_costs
+        self._per_byte = costs.protocol_per_byte
+        #: the per-message part of each call's one burst (module docstring)
+        self._send_cost = syscall_cost(costs.syscall, "sendto") + costs.protocol_per_message
+        self._recv_cost = (costs.signal_delivery + costs.context_switch
+                           + syscall_cost(costs.syscall, "recvfrom") + costs.protocol_per_message)
         self.machine.stats.counter("sockets_open").increment()
         self.obs = getattr(proc.sim, "obs", None) or NULL_RECORDER
         self._obs_pid = self.machine.station_id
@@ -88,14 +88,7 @@ class Socket:
                 self.proc.sim.now, "sock.send", "os", self._obs_pid, self._obs_tid, trace
             )
             trace = span.ctx
-        costs = self._costs
-        proc = self.proc
-        burst = proc.syscall_burst(self._sendto_cost)
-        if burst is not None:
-            yield burst
-        burst = proc.burst(
-            costs.protocol_per_message + costs.protocol_per_byte * payload_bytes
-        )
+        burst = self.proc.syscall_burst(self._send_cost + self._per_byte * payload_bytes)
         if burst is not None:
             yield burst
         self._c_msgs_sent.increment()
@@ -156,19 +149,7 @@ class Socket:
             now = self.proc.sim.now
             self.obs.instant(now, "sigio", "os", self._obs_pid, self._obs_tid, packet.trace)
             span = self.obs.begin(now, "sock.recv", "os", self._obs_pid, self._obs_tid, packet.trace)
-        costs = self._costs
-        proc = self.proc
-        # SIGIO wakes the process, the kernel switches to it, recvfrom copies
-        # the data out, protocol processing is charged per message + byte.
-        burst = proc.burst(self._wakeup_cost)
-        if burst is not None:
-            yield burst
-        burst = proc.syscall_burst(self._recvfrom_cost)
-        if burst is not None:
-            yield burst
-        burst = proc.burst(
-            costs.protocol_per_message + costs.protocol_per_byte * packet.payload_bytes
-        )
+        burst = self.proc.syscall_burst(self._recv_cost + self._per_byte * packet.payload_bytes)
         if burst is not None:
             yield burst
         self._c_msgs_received.increment()

@@ -11,7 +11,7 @@ provides the costed primitives everything above is written with:
 * ``syscall(name)`` — charge one system call;
 * ``burst(s)`` / ``syscall_burst(cost)`` — submit one CPU burst (the latter
   counted as a syscall) and return its completion event, for hot callers
-  (the socket layer) that yield it without a nested generator;
+  (the socket layer, one per call) that yield it without a nested generator;
 * ``sleep(s)`` — idle without consuming CPU;
 * ``raise_signal`` / signal handler table — SIGIO-style async notification.
 """

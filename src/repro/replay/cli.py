@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..errors import ReplayError, ReproError
+from ..errors import ConfigurationError, ReplayError, ReproError
 from ..experiments.cli import PLATFORM, PROCESSORS, SEED, cluster_config, command
 from .config import ReplayConfig
 from .recording import Recording, WorkloadSpec, record
@@ -316,8 +316,8 @@ def replay_main(argv: List[str]) -> int:
             )
             print(f"resumed to completion: elapsed {result.elapsed:.6f}s{suffix}")
     except ReplayError as exc:
-        print(f"replay: {exc}")
-        return 2
+        # reported on stderr, exit 2, by the dse-experiments dispatcher
+        raise ConfigurationError(str(exc)) from exc
     return 0
 
 

@@ -16,11 +16,13 @@ see :mod:`repro.traffic.cluster_backend`; this is the mode behind the
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
+from ..errors import ConfigurationError
 from ..experiments.cli import SEED, SWEEP, command, sweep_cache, write_out
 from ..resilience.campaign import CrashPlan
 from ..util.tables import Table
@@ -37,6 +39,12 @@ DEFAULT_REQUESTS = 120_000
 #: full-stack requests are ~1000x costlier than PS-engine ones
 DEFAULT_CLUSTER_REQUESTS = 200
 DEFAULT_SERVERS = 8
+#: the flags of one mode, refused in the other
+MODE_FLAGS = {
+    "sweep": ("--crashes", "--policies", "--jobs", "--fast", "--loads", "--elastic", "--no-cache"),
+    "cluster": ("--transport", "--loss", "--p-exit", "--rate", "--mean-service", "--placement",
+                "--payload"),
+}
 
 
 def build_sweep_config(
@@ -291,7 +299,17 @@ def traffic_main(argv: List[str]) -> int:
     parser.add_argument("--payload", type=int, default=0,
                         help="cluster mode: global-memory words each request "
                              "reads + writes back (bulk-data lane under dual)")
-    args = parser.parse_args(argv)
+    # Mode flags start out unset, so argparse leaves alone those not given;
+    # a given flag of the mode --cluster did not pick is refused.
+    unset = object()
+    dests = {flag: flag[2:].replace("-", "_") for flags in MODE_FLAGS.values() for flag in flags}
+    args = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(dests.values(), unset)))
+    other = "sweep" if args.cluster else "cluster"
+    for flag, dest in dests.items():
+        if getattr(args, dest) is unset:
+            setattr(args, dest, parser.get_default(dest))
+        elif flag in MODE_FLAGS[other]:
+            raise ConfigurationError(f"{flag} applies to {other} mode only")
     if args.requests is None:
         args.requests = DEFAULT_CLUSTER_REQUESTS if args.cluster else DEFAULT_REQUESTS
     return _cluster_main(args) if args.cluster else _sweep_main(args)

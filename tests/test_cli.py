@@ -60,20 +60,83 @@ def test_bad_knob_values_are_refused_with_a_reason(argv, capsys, tmp_path, monke
 
 
 def test_traffic_cluster_keeps_an_explicit_request_count(monkeypatch):
+    seen = _fake_cluster_run(monkeypatch)
+    assert main(["traffic", "--cluster", "--requests", "120000"]) == 0
+    assert main(["traffic", "--cluster"]) == 0
+    assert [kw["n_requests"] for kw in seen] == [120_000, 200]
+
+
+#: a valid value for each mode flag of ``traffic`` (None: a switch)
+_MODE_FLAG_VALUES = {
+    "--crashes": "1", "--policies": "jsq", "--jobs": "2", "--fast": None,
+    "--loads": "0.5", "--elastic": None, "--no-cache": None,
+    "--transport": "sr", "--loss": "0.02", "--p-exit": "0.5", "--rate": "10",
+    "--mean-service": "0.1", "--placement": "least-loaded", "--payload": "8",
+}
+
+
+def _fake_cluster_run(monkeypatch):
+    """Replace the full-stack run; returns the list of its keyword sets."""
     from repro.traffic import cluster_backend
 
     seen = []
 
     def fake_run(**kwargs):
-        seen.append(kwargs["n_requests"])
+        seen.append(kwargs)
         return {"transport": kwargs["transport"], "count": kwargs["n_requests"],
                 "mean": 0.0, "p50": 0.0, "p99": 0.0, "goodput_rps": 0.0,
                 "elapsed": 0.0}
 
     monkeypatch.setattr(cluster_backend, "run_cluster_traffic", fake_run)
-    assert main(["traffic", "--cluster", "--requests", "120000"]) == 0
-    assert main(["traffic", "--cluster"]) == 0
-    assert seen == [120_000, 200]
+    return seen
+
+
+def test_mode_flag_table_covers_every_value():
+    from repro.traffic.cli import MODE_FLAGS
+
+    assert sorted(MODE_FLAGS["sweep"] + MODE_FLAGS["cluster"]) == sorted(_MODE_FLAG_VALUES)
+
+
+@pytest.mark.parametrize("flag", sorted(_MODE_FLAG_VALUES))
+def test_traffic_refuses_the_other_modes_flags(flag, capsys, tmp_path, monkeypatch):
+    from repro.traffic.cli import MODE_FLAGS
+
+    monkeypatch.chdir(tmp_path)
+    seen = _fake_cluster_run(monkeypatch)
+    value = _MODE_FLAG_VALUES[flag]
+    given = [flag] if value is None else [flag, value]
+    cluster_flag = flag in MODE_FLAGS["cluster"]
+    argv = ["traffic", "--requests", "4", *given] + ([] if cluster_flag else ["--cluster"])
+    assert _exit_code(argv) == 2
+    other = "cluster" if cluster_flag else "sweep"
+    assert capsys.readouterr().err == (
+        f"dse-experiments traffic: error: {flag} applies to {other} mode only\n"
+    )
+    assert seen == [] and not list(tmp_path.iterdir())
+
+
+def test_traffic_cluster_mode_flags_and_their_defaults(monkeypatch):
+    seen = _fake_cluster_run(monkeypatch)
+    assert main(["traffic", "--cluster", "--requests", "4"]) == 0
+    argv = ["traffic", "--cluster", "--requests", "4"]
+    for flag in ("--transport", "--loss", "--placement", "--payload"):
+        argv += [flag, _MODE_FLAG_VALUES[flag]]
+    assert main(argv) == 0
+    pick = ("transport", "p_enter_bad", "p_exit_bad", "placement", "payload_words")
+    assert [tuple(kw[k] for k in pick) for kw in seen] == [
+        ("datagram", 0.0, 0.25, "rr", 0),
+        ("sr", 0.02, 0.25, "least-loaded", 8),
+    ]
+
+
+def test_replay_refusal_goes_to_stderr(capsys):
+    argv = ["replay", "--workload", "gauss-seidel", "--worst", "no.such.span"]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "dse-experiments replay: error: no spans named 'no.such.span'"
+    )
+    assert "no.such.span" not in captured.out
 
 
 def test_simulation_packages_do_not_import_the_cli():

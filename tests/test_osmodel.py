@@ -289,6 +289,56 @@ def test_socket_send_recv_between_machines():
     assert m1.stats.counter("msgs_received").value == 1
 
 
+def _record_bursts(machine):
+    """List every CPU demand ``machine`` submits from now on."""
+    demands, execute = [], machine.cpu.execute
+
+    def spy(seconds):
+        demands.append(seconds)
+        return execute(seconds)
+
+    machine.cpu.execute = spy
+    return demands
+
+
+@pytest.mark.parametrize("platform", [LINUX_PCAT, SUNOS_SPARCSTATION])
+def test_socket_call_is_one_burst_and_one_syscall(platform):
+    """A remote ``sendto`` and a ``recv`` each submit exactly one burst that
+    carries the whole charge of the call, summed in the documented order."""
+    sim = Simulator()
+    bus = EthernetBus(sim, RandomStreams(3))
+    m0, _ = make_machine(sim, 0, platform=platform, bus=bus)
+    m1, _ = make_machine(sim, 1, platform=platform, bus=bus)
+    costs, nbytes = platform.os_costs, 300
+    seen = {}
+
+    def call(name, machine, io):
+        syscalls = machine.stats.counter("syscalls").value
+        demands = _record_bursts(machine)
+        yield from io
+        seen[name] = demands, machine.stats.counter("syscalls").value - syscalls
+
+    def server(proc):
+        sock = m1.open_socket(proc, 7000)
+        yield from call("recv", m1, sock.recv())
+
+    def client(proc):
+        sock = m0.open_socket(proc, 7001)
+        yield from call("send", m0, sock.sendto(1, 7000, "x", nbytes))
+
+    m1.spawn(server)
+    m0.spawn(client)
+    sim.run_all()
+    protocol = costs.protocol_per_byte * nbytes
+    send = syscall_cost(costs.syscall, "sendto") + costs.protocol_per_message + protocol
+    recv = (
+        costs.signal_delivery + costs.context_switch
+        + syscall_cost(costs.syscall, "recvfrom") + costs.protocol_per_message + protocol
+    )
+    assert seen["send"] == ([send], 1)  # exact: one burst, one sum, one syscall
+    assert seen["recv"] == ([recv], 1)
+
+
 def test_socket_latency_higher_on_slow_platform():
     def rtt(platform):
         sim = Simulator()

@@ -54,8 +54,11 @@ record
 ``--trajectory`` measures nothing: it prints the committed history and,
 within each group of entries sharing a host stamp (machine, Python, CPU
 count), the first->last speed-up of every wall field.  ``--require-speedup
-X`` gates the engine micro-benches at >= X and fails if no group has two
-entries to compare.
+X`` gates the engine micro-benches of each group's first and last entry:
+the same simulated outcome, and a speed-up of at least X in the group that
+starts at ``SPEEDUP_BASELINE`` (the engine before its fast paths) or no wall
+regression beyond ``--tolerance`` in every later group.  It fails if no
+group has two entries to compare.
 
 Exit status is non-zero on any failed gate, mismatch or regression.
 """
@@ -288,8 +291,32 @@ def speedup_pairs(trajectory: list) -> List[Tuple[dict, dict]]:
     return [(group[0], group[-1]) for group in groups.values() if len(group) > 1]
 
 
+#: first label of the one engine group gated on speed-up, not on regression
+SPEEDUP_BASELINE = "pre-PR5 seed engine"
+
+#: the simulated outcome two timings of one micro-bench must share
+_OUTCOME = ("sim_now", "events", "cancelled")
+
+
+def trajectory_gates(trajectory: list, require_speedup: float, tolerance: float) -> Gates:
+    """Micro-bench gates of every host-stamp group's first -> last entry."""
+    gates: Gates = []
+    for first, last in speedup_pairs(trajectory):
+        bar = require_speedup if first["label"] == SPEEDUP_BASELINE else 1 / (1 + tolerance)
+        for name in MICRO_BENCHES:
+            ref, cur = first["results"].get(name), last["results"].get(name)
+            if ref is None or cur is None:
+                continue
+            same = all(ref[fld] == cur[fld] for fld in _OUTCOME)
+            speedup = ref["wall"] / cur["wall"]
+            outcome = "" if same else ", simulated outcome differs"
+            gates.append((f"{last['label']!r} {name}: {speedup:.2f}x >= {bar:.2f}x{outcome}",
+                          same and speedup >= bar))
+    return gates
+
+
 def show_trajectory(trajectory: list, wall: Tuple[str, ...],
-                    require_speedup: float | None) -> int:
+                    require_speedup: float | None, tolerance: float) -> int:
     if not trajectory:
         print("no committed trajectory entries")
         return 1
@@ -299,28 +326,25 @@ def show_trajectory(trajectory: list, wall: Tuple[str, ...],
             for n, r in sorted(entry["results"].items()) for fld in wall if fld in r
         )
         print(f"{entry['label']:>36} {host_stamp(entry)}" + (f": {walls}" if walls else ""))
-    failures = checked = 0
     for first, last in speedup_pairs(trajectory):
         print(f"\n{first['label']!r} -> {last['label']!r} speed-up "
               f"on {host_stamp(last)}:")
         for name, cur in last["results"].items():
             ref = first["results"].get(name)
             for fld in wall:
-                if ref is None or fld not in ref:
-                    continue
-                speedup = ref[fld] / cur[fld]
-                gate = ""
-                if require_speedup is not None and name in MICRO_BENCHES:
-                    ok = speedup >= require_speedup
-                    gate = f"  [{'PASS' if ok else 'FAIL'} >= {require_speedup:.2f}x]"
-                    checked += 1
-                    failures += 0 if ok else 1
-                print(f"  {name:>20}: {speedup:.2f}x{gate}")
-    if require_speedup is not None and not checked:
+                if ref is not None and fld in ref:
+                    print(f"  {name:>20}: {ref[fld] / cur[fld]:.2f}x")
+    if require_speedup is None:
+        return 0
+    gates = trajectory_gates(trajectory, require_speedup, tolerance)
+    if not gates:
         print("--require-speedup: no host stamp has two entries with "
               "micro-bench wall times to compare", file=sys.stderr)
         return 1
-    return 1 if failures else 0
+    print("\ngates:")
+    for description, ok in gates:
+        print(f"  [{'PASS' if ok else 'FAIL'}] {description}")
+    return 1 if any(not ok for _, ok in gates) else 0
 
 
 def main(argv=None) -> int:
@@ -352,7 +376,7 @@ def main(argv=None) -> int:
     baseline = args.baseline or suite.baseline
     trajectory = load_trajectory(baseline)
     if args.trajectory:
-        return show_trajectory(trajectory, suite.wall, args.require_speedup)
+        return show_trajectory(trajectory, suite.wall, args.require_speedup, args.tolerance)
 
     results, params = suite.measure(args)
     gates: Gates = []
