@@ -88,19 +88,23 @@ class DSEKernel:
             # Handle each request in its own coroutine so a long or blocking
             # handler (deferred lock, nested coherence RPC) never stalls the
             # service loop — the no-head-of-line-blocking property the paper
-            # gets from asynchronous I/O interruption.
-            handler = self.sim.process(
+            # gets from asynchronous I/O interruption.  Nobody joins a
+            # handler, so it starts in place and ends with no event.
+            handler = self.sim.start(
                 self._handle(msg), name=f"k{self.kernel_id}.h{msg.seq}"
             )
-            if self._res is not None:
+            if self._res is not None and handler.is_alive:
                 self._track_handler(handler)
 
     def _track_handler(self, handler: Process) -> None:
         """Remember a live handler coroutine so a crash can kill it.
 
-        The completion callback re-raises handler failures: a Process with
-        callbacks would otherwise have its exception swallowed by the event
-        loop's unhandled-failure rule."""
+        A handler that ended in its first step is never tracked: a failure
+        there is already scheduled with no waiter, so it surfaces out of
+        ``sim.run``.  For a tracked handler the completion callback
+        re-raises its failure: a Process with callbacks would otherwise
+        have its exception swallowed by the event loop's unhandled-failure
+        rule."""
         self._handlers.add(handler)
 
         def done(_ev: Event) -> None:

@@ -1,18 +1,25 @@
-"""Network interface card: per-station transmit queue + receive delivery.
+"""Network interface card: per-station transmit ring + receive delivery.
 
 The NIC decouples the OS (which just enqueues frames) from fabric
-arbitration (which may block on a busy bus).  A driver process drains the
-transmit queue in FIFO order; received frames are handed to an
+arbitration (which may block on a busy bus).  A driver process sends the
+frames of the transmit ring (``tx_queue``, a deque) in FIFO order.  The
+driver is woken by one URGENT event, and only when it is idle: a frame
+enqueued while it is busy waits in the ring, and the driver takes it
+without an event when its current frame is done.  ``enqueue`` returns an
+already-processed event while the ring has room; when the ring is full it
+returns a pending event, and blocked enqueues are admitted in FIFO order
+as the driver frees room.  Received frames are handed to an
 interrupt-style callback that the OS model wires to SIGIO delivery.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from ..errors import NetworkError
 from ..obs.spans import NET_TID, NULL_RECORDER
-from ..sim.core import Event, Simulator
+from ..sim.core import PRIORITY_URGENT, Event, Simulator
 from ..sim.monitor import LazyStat, StatSet
 from ..sim.resources import Store
 from .frame import EthernetFrame
@@ -37,6 +44,8 @@ class NIC:
         driver_retries: int = 64,
         name: str = "",
     ):
+        if tx_queue_depth < 1:
+            raise ValueError(f"tx_queue_depth must be >= 1, got {tx_queue_depth}")
         self.sim = sim
         self.fabric = fabric
         self.station_id = station_id
@@ -49,7 +58,16 @@ class NIC:
         #: powered flag (resilience: a halted machine's NIC drops everything;
         #: the driver process survives the outage and resumes on restart)
         self.up = True
-        self.tx_queue: Store = Store(sim, capacity=tx_queue_depth, name=f"{self.name}.tx")
+        #: frames waiting for the driver (the one it is sending is not here)
+        self.tx_queue: Deque[EthernetFrame] = deque()
+        self.tx_queue_depth = tx_queue_depth
+        #: enqueues waiting for room in a full ring, FIFO: (event, frame)
+        self._tx_blocked: Deque[Tuple[Event, EthernetFrame]] = deque()
+        #: what an idle driver waits on; None while it is busy
+        self._tx_wake: Optional[Event] = None
+        self._tx_wake_name = f"{self.name}.tx-wake"
+        #: what enqueue returns while the ring has room
+        self._tx_queued = sim.done(name=f"{self.name}.tx-queued")
         self.rx_queue: Store = Store(sim, name=f"{self.name}.rx")
         self._rx_callback: Optional[Callable[[EthernetFrame], None]] = None
         self.stats = StatSet(self.name)
@@ -65,11 +83,33 @@ class NIC:
                 f"{self.name}: frame source {frame.src} != station {self.station_id}"
             )
         self._c_tx_enqueued.increment()
-        return self.tx_queue.put(frame)
+        wake = self._tx_wake
+        if wake is not None:
+            # The driver is idle, so the ring is empty: hand it the frame.
+            self._tx_wake = None
+            wake.succeed(frame, priority=PRIORITY_URGENT)
+            return self._tx_queued
+        if len(self.tx_queue) < self.tx_queue_depth:
+            # Room in the ring means no enqueue is blocked either.
+            self.tx_queue.append(frame)
+            return self._tx_queued
+        blocked = Event(self.sim, name=f"{self.name}.tx-blocked")
+        self._tx_blocked.append((blocked, frame))
+        return blocked
 
     def _tx_driver(self) -> Generator[Event, Any, None]:
+        ring = self.tx_queue
+        blocked = self._tx_blocked
         while True:
-            frame = yield self.tx_queue.get()
+            if ring:
+                frame = ring.popleft()
+                if blocked:
+                    event, waiting = blocked.popleft()
+                    ring.append(waiting)
+                    event.succeed(priority=PRIORITY_URGENT)
+            else:
+                self._tx_wake = Event(self.sim, name=self._tx_wake_name)
+                frame = yield self._tx_wake
             if not self.up:
                 self.stats.counter("tx_dropped_down").increment()
                 continue

@@ -368,7 +368,12 @@ class Recording:
 
     @classmethod
     def load(cls, path) -> "Recording":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ReplayError(f"{path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise ReplayError(f"{path}: not a replay manifest ({exc})") from exc
         if doc.get("format") != _MANIFEST_FORMAT:
             raise ReplayError(
                 f"{path}: not a replay manifest (format={doc.get('format')!r})"

@@ -37,6 +37,10 @@ this loop, so the engine has a deliberate fast path (benchmarked with
   timer this way on every arrival and removal);
 * :class:`Timeout` construction inlines both the :class:`Event`
   constructor and the scheduling push — it is the hottest allocation site;
+* :meth:`Simulator.start` runs a fire-and-forget process's first step in
+  place, with no ``Initialize`` event, and processes its end in place when
+  nothing waits on it (the DSE kernel starts one request handler per
+  request this way); :meth:`Simulator.process` keeps both events;
 * ``Simulator.now`` is a plain attribute, not a property, because the hot
   layers read the clock on every message hop;
 * :meth:`Simulator.run` drives the heap with locally bound ``heappop``,
@@ -274,6 +278,18 @@ class Initialize(Event):
         heappush(sim._queue, entry)
 
 
+class _Started:
+    """What a process started in place resumes with: a succeeded no-value
+    event that was never scheduled (see :meth:`Simulator.start`)."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class Process(Event):
     """A running simulated process wrapping a generator.
 
@@ -281,9 +297,12 @@ class Process(Event):
     (value = the generator's ``return`` value) or raises (the process fails
     with that exception unless somebody is waiting on it, in which case the
     exception propagates into the waiter).
+
+    Build processes with :meth:`Simulator.process` or
+    :meth:`Simulator.start`; the constructor alone does not start one.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "is_alive_hint")
+    __slots__ = ("_generator", "_target", "_resume_cb", "_inline_end")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -295,7 +314,9 @@ class Process(Event):
         #: the one bound method registered as a callback everywhere — built
         #: once so suspension does not allocate a fresh bound method
         self._resume_cb: Callable[[Event], None] = self._resume
-        Initialize(sim, self)
+        #: a successful end with no waiter is processed in place, never
+        #: scheduled (set by Simulator.start only)
+        self._inline_end = False
 
     @property
     def is_alive(self) -> bool:
@@ -377,7 +398,10 @@ class Process(Event):
             self._target = None
             self._ok = True
             self._value = stop.value
-            sim._schedule(self, 0.0, PRIORITY_NORMAL)
+            if self._inline_end and not self.callbacks:
+                self.callbacks = None  # nobody waits: processed in place
+            else:
+                sim._schedule(self, 0.0, PRIORITY_NORMAL)
         except BaseException as exc:
             self._target = None
             self._ok = False
@@ -482,6 +506,15 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         return Event(self, name)
 
+    def done(self, value: Any = None, name: str = "") -> Event:
+        """An event born processed with ``value``: yielding it continues at
+        once, and it never touches the heap."""
+        event = Event(self, name)
+        event._ok = True
+        event._value = value
+        event.callbacks = None
+        return event
+
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         pool = self._timeout_pool
         if pool:
@@ -502,7 +535,30 @@ class Simulator:
         return Timeout(self, delay, value, name)
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        return Process(self, generator, name)
+        """Start a process at an ``Initialize`` event at the current time."""
+        proc = Process(self, generator, name)
+        Initialize(self, proc)
+        return proc
+
+    def start(self, generator: Generator, name: str = "") -> Process:
+        """Start a process now, in place, for callers that do not join it.
+
+        The generator runs up to its first suspension inside this call,
+        with no ``Initialize`` event, and the caller's
+        :attr:`active_process` is restored afterwards.  A successful end
+        that nothing waits on is processed in place, with no completion
+        event; a failure is still scheduled, so one nobody waits on
+        surfaces out of :meth:`run`.  A process that ended during this
+        call is returned already triggered.
+        """
+        proc = Process(self, generator, name)
+        proc._inline_end = True
+        active = self._active_process
+        try:
+            proc._resume(_STARTED)
+        finally:
+            self._active_process = active
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

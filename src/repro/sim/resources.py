@@ -4,8 +4,8 @@ These are the building blocks the OS and network models are written with:
 
 * :class:`Resource` — a counted resource with FIFO (or priority) queueing;
   used for CPUs, bus arbitration, and mutexes (capacity 1).
-* :class:`Store` — an unbounded/bounded FIFO of items; used for NIC queues,
-  socket receive buffers, and kernel mailboxes.
+* :class:`Store` — an unbounded/bounded FIFO of items; used for socket
+  receive buffers, kernel mailboxes and a NIC's fallback receive queue.
 * :class:`Container` — a continuous quantity (used for modelling memory
   pools).
 
@@ -144,7 +144,13 @@ class StoreGet(Event):
 
 
 class StorePut(Event):
-    """Event that triggers once the store has capacity for the item."""
+    """Event that triggers once the store has capacity for the item.
+
+    A put that fits (room, and no earlier put still waiting) is admitted in
+    place and born processed: nothing goes on the heap, and ``yield
+    store.put(x)`` continues at once.  Only a put that must wait for room
+    is scheduled, when a get frees it.
+    """
 
     __slots__ = ("store", "item")
 
@@ -152,17 +158,24 @@ class StorePut(Event):
         super().__init__(store.sim, name=store._put_name)
         self.store = store
         self.item = item
-        store._putters.append(self)
+        if store._putters or len(store.items) >= store.capacity:
+            store._putters.append(self)
+        else:
+            store._admit(item)
+            self._ok = True
+            self._value = None
+            self.callbacks = None
         store._dispatch()
 
 
 class Store:
     """A FIFO of items with optional capacity; get/put are events.
 
-    An unbounded store's ``put`` triggers immediately; a bounded store's
-    ``put`` blocks until space frees up, which the NIC uses to model a full
-    transmit ring.  ``get`` supports an optional filter predicate (used by
-    the DSE exchange module to wait for a reply matching a request id).
+    A ``put`` that fits is processed on the spot (see :class:`StorePut`); a
+    bounded store's ``put`` blocks until space frees up, and waiting puts
+    are admitted in FIFO order.  ``get`` supports an optional filter
+    predicate (used by the DSE exchange module to wait for a reply matching
+    a request id); getters are woken by URGENT events in FIFO order.
     """
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = "store"):
@@ -189,6 +202,13 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
+    def _admit(self, item: Any) -> None:
+        items = self.items
+        items.append(item)
+        self.total_puts += 1
+        if len(items) > self.peak_occupancy:
+            self.peak_occupancy = len(items)
+
     def _dispatch(self) -> None:
         if not self._putters and not (self._getters and self.items):
             return  # nothing to admit and no getter can match
@@ -199,10 +219,7 @@ class Store:
             # Admit pending puts while there is room.
             while putters and len(items) < self.capacity:
                 putter = putters.pop(0)
-                items.append(putter.item)
-                self.total_puts += 1
-                if len(items) > self.peak_occupancy:
-                    self.peak_occupancy = len(items)
+                self._admit(putter.item)
                 putter.succeed(priority=PRIORITY_URGENT)
             # Satisfy getters in FIFO order against available items.
             got = False

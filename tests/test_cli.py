@@ -139,6 +139,16 @@ def test_replay_refusal_goes_to_stderr(capsys):
     assert "no.such.span" not in captured.out
 
 
+def test_replay_load_of_a_missing_file_goes_to_stderr(tmp_path, capsys):
+    missing = tmp_path / "missing.replay"
+    assert _exit_code(["replay", "--load", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"dse-experiments replay: error: {missing}: No such file or directory"
+    )
+    assert "Traceback" not in captured.err
+
+
 def test_simulation_packages_do_not_import_the_cli():
     code = (
         "import sys, repro.dse, repro.apps, repro.traffic\n"

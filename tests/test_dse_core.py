@@ -403,3 +403,37 @@ def test_different_seed_changes_details_not_results():
     r1 = run_parallel(cfg(n_processors=4, seed=1), worker)
     r2 = run_parallel(cfg(n_processors=4, seed=2), worker)
     assert r1.returns == r2.returns  # results identical
+
+
+# --------------------------------------------------------------- handlers
+def test_request_handler_fires_no_start_or_end_event(monkeypatch):
+    """A served request runs its handler in place: no Initialize event
+    starts it and no completion event ends it."""
+    import re
+
+    from repro.sim import core
+
+    pushed = []
+    real_push = core.heappush
+
+    def spy(queue, entry):
+        event = entry[3]
+        if isinstance(event, core.Initialize):
+            pushed.append(("start", event.callbacks[0].__self__.name))
+        elif isinstance(event, core.Process):
+            pushed.append(("end", event.name))
+        real_push(queue, entry)
+
+    monkeypatch.setattr(core, "heappush", spy)
+
+    def master(api):
+        data = yield from api.gm_read(api.kernel.gmem.total_words - 4, 4)
+        return float(data.sum())
+
+    res = run_master(cfg(n_processors=2), master)
+    assert res.returns[0] == 0.0
+    served = res.cluster.kernel(1).stats.counter("requests_served").value
+    assert served >= 2  # the read and the shutdown
+    handler = re.compile(r"k\d+\.h\d+$")
+    assert ("start", "dse-master") in pushed
+    assert [e for e in pushed if handler.match(e[1])] == []

@@ -383,6 +383,58 @@ def test_nic_fifo_transmission_order():
     assert got == [0, 1, 2, 3, 4]
 
 
+def test_nic_full_ring_blocks_enqueues_in_fifo_order(monkeypatch):
+    from repro.sim import core
+
+    wakes = []
+    real_push = core.heappush
+
+    def spy(queue, entry):
+        if entry[3].name == "nic0.tx-wake":
+            wakes.append(entry[0])
+        real_push(queue, entry)
+
+    monkeypatch.setattr(core, "heappush", spy)
+    sim = Simulator()
+    bus = make_bus(sim)
+    nic0 = NIC(sim, bus, 0, tx_queue_depth=2)
+    nic1 = NIC(sim, bus, 1)
+    sent = []
+    nic1.on_receive(lambda f: sent.append((f.payload, sim.now)))
+    admitted = []
+
+    def sender(i, at):
+        yield sim.timeout(at)
+        yield nic0.enqueue(EthernetFrame(src=0, dst=1, payload=i, payload_bytes=64))
+        admitted.append((i, sim.now))
+
+    # Two busy periods: six frames at t=0 (one on the wire, two in the
+    # ring, three blocked), then three more once the NIC has gone idle.
+    for i in range(6):
+        sim.process(sender(i, 0.0))
+    for i in range(6, 9):
+        sim.process(sender(i, 1.0))
+    sim.run(until=0.0)
+    assert len(nic0.tx_queue) == 2
+    assert admitted == [(0, 0.0), (1, 0.0), (2, 0.0)]
+    sim.run_all()
+    assert [i for i, _ in admitted] == list(range(9))
+    assert [i for i, _ in sent] == list(range(9))
+    # A blocked enqueue is admitted when the driver takes a frame off the
+    # ring, one frame time apart, each before the frame it waited on lands.
+    t3, t4, t5 = (t for _, t in admitted[3:6])
+    assert 0.0 < t3 < t4 < t5 < 1.0
+    assert t3 <= sent[0][1] and t4 <= sent[1][1] and t5 <= sent[2][1]
+    assert wakes == [0.0, 1.0]
+    assert nic0.stats.counter("tx_done").value == 9 and not nic0.tx_queue
+
+
+def test_nic_rejects_an_empty_ring():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        NIC(sim, make_bus(sim), 0, tx_queue_depth=0)
+
+
 # ---------------------------------------------------------------- topology
 def test_build_network_ethernet():
     sim = Simulator()

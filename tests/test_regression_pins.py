@@ -90,7 +90,7 @@ def test_pin_knights_tour_point():
 EXACT_PINS = {
     "switch-8-batched": {
         "elapsed": "0x1.1907a0ec71ec7p-5",
-        "sim_events": 4481,
+        "sim_events": 3462,
         "events_cancelled": 309,
         "runq": [
             "0x1.ac326baa987a3p-1", "0x1.517350a0f5312p-2", "0x1.5080981cdab69p-2",
@@ -105,7 +105,7 @@ EXACT_PINS = {
     },
     "bus-12-on-6": {
         "elapsed": "0x1.ad2315975b0e3p-3",
-        "sim_events": 12334,
+        "sim_events": 10278,
         "events_cancelled": 1178,
         "runq": [
             "0x1.8925a5996fec5p+0", "0x1.a9b7f776df890p-1", "0x1.94a59d625ab01p-1",

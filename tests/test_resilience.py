@@ -599,3 +599,63 @@ def test_downed_nic_drops_received_traffic():
     sim.run_all()
     assert received[2] == []
     assert nics[2].stats.counter("rx_dropped_down").value == 1
+
+
+# ------------------------------------------------------------ request handlers
+def _notify(cluster, msg_type, **fields):
+    """Send one request from kernel 0 to kernel 1 that nobody replies to."""
+    from repro.dse.messages import DSEMessage
+
+    def driver():
+        msg = DSEMessage(msg_type, 0, 1, **fields)
+        yield from cluster.kernel(0).exchange.notify(msg)
+        yield cluster.sim.timeout(0.01)
+
+    return cluster.sim.process(driver())
+
+
+def test_handler_that_ends_in_its_first_step_is_not_tracked(monkeypatch):
+    from repro.dse.messages import MsgType
+
+    cluster = Cluster(_config(ResilienceConfig(), processors=2))
+    kernel = cluster.kernel(1)
+    tracked = []
+    real_track = kernel._track_handler
+    monkeypatch.setattr(
+        kernel, "_track_handler", lambda h: (tracked.append(h.name), real_track(h))
+    )
+
+    def parked(msg):
+        yield cluster.sim.timeout(1.0)
+
+    kernel.register_service(MsgType.KV_GET_REQ, parked)
+    # A PROC_DONE for a rank nobody waits on is dropped without a yield.
+    done = _notify(cluster, MsgType.PROC_DONE, addr=5)
+    cluster.sim.run(until=done)
+    assert kernel.procman.stats.counter("stale_completions").value == 1
+    assert tracked == [] and not kernel._handlers
+    # A handler that suspends is tracked until it ends.
+    parked_done = _notify(cluster, MsgType.KV_GET_REQ, name="x")
+    cluster.sim.run(until=parked_done)
+    assert len(tracked) == 1 and len(kernel._handlers) == 1
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert not kernel._handlers
+
+
+@pytest.mark.parametrize("suspend", [False, True])
+def test_failing_handler_raises_out_of_run(suspend):
+    from repro.dse.messages import MsgType
+    from repro.errors import DSEError
+
+    cluster = Cluster(_config(ResilienceConfig(), processors=2))
+
+    def broken(msg):
+        if suspend:
+            yield cluster.sim.timeout(0.001)
+        raise DSEError("handler broke")
+        yield  # pragma: no cover - makes this a generator
+
+    cluster.kernel(1).register_service(MsgType.KV_GET_REQ, broken)
+    done = _notify(cluster, MsgType.KV_GET_REQ, name="x")
+    with pytest.raises(DSEError, match="handler broke"):
+        cluster.sim.run(until=done)

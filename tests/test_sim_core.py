@@ -381,3 +381,68 @@ def test_events_processed_counter():
 
     sim.run(sim.process(proc()))
     assert sim.events_processed >= 3  # init + 2 timeouts (+ termination)
+
+
+# ---------------------------------------------------------------- start
+def test_start_runs_the_first_step_in_place_and_restores_the_caller():
+    sim = Simulator()
+    log = []
+
+    def child(tag):
+        log.append((tag, sim.active_process.name))
+        yield sim.timeout(1)
+        log.append((tag, sim.now))
+
+    def parent():
+        started = sim.start(child("c"), name="child")
+        log.append(("parent", sim.active_process.name, started.is_alive))
+        yield sim.timeout(2)
+
+    sim.process(parent(), name="parent")
+    sim.run_all()
+    assert log == [("c", "child"), ("parent", "parent", True), ("c", 1.0)]
+    # parent: Initialize, timeout, end; child: its timeout only — no
+    # Initialize, and no end event because nobody waits on it.
+    assert sim.events_processed == 4
+
+
+def test_start_ends_in_place_unless_someone_waits():
+    sim = Simulator()
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    proc = sim.start(quick())
+    assert proc.processed and proc.value == "done"
+    assert sim.active_process is None and sim.peek() == float("inf")
+
+    def slow():
+        yield sim.timeout(1)
+        return "late"
+
+    waited = sim.start(slow())
+    got = []
+
+    def joiner():
+        got.append((yield waited))
+
+    sim.process(joiner())
+    sim.run_all()
+    assert got == ["late"]
+
+
+@pytest.mark.parametrize("suspend", [False, True])
+def test_start_failure_surfaces_out_of_run(suspend):
+    sim = Simulator()
+
+    def broken():
+        if suspend:
+            yield sim.timeout(1)
+        raise ValueError("boom")
+        yield  # pragma: no cover - makes this a generator
+
+    proc = sim.start(broken())
+    assert proc.is_alive is suspend
+    with pytest.raises(ValueError, match="boom"):
+        sim.run_all()

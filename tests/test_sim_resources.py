@@ -320,3 +320,55 @@ def test_container_init_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Container(sim, capacity=10, init=11)
+
+
+def test_store_put_that_fits_pushes_nothing_onto_the_heap():
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    put = store.put("a")
+    assert put.processed and put.ok and put.value is None
+    assert sim.peek() == float("inf")
+    assert list(store.items) == ["a"] and store.total_puts == 1
+
+    # A waiting getter is still woken by one event, and the put is not.
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+        got.append((yield store.get()))
+
+    def producer():
+        yield sim.timeout(1)
+        yield store.put("b")
+        got.append(("put continued", sim.now))
+
+    sim.process(consumer())
+    sim.process(producer())
+    sim.run_all()
+    assert got == ["a", ("put continued", 1.0), "b"]
+    # 2 Initialize, the timeout, 2 getter wake-ups, 2 process ends
+    assert sim.events_processed == 7
+
+
+def test_bounded_store_admits_waiting_puts_in_fifo_order():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    puts = [store.put(item) for item in "abc"]
+    assert [p.processed for p in puts] == [True, False, False]
+    admitted = []
+    for p in puts[1:]:
+        p.callbacks.append(lambda ev: admitted.append((ev.item, sim.now)))
+    # Room for "d" frees up only behind the waiting puts.
+    late = store.put("d")
+    assert not late.processed
+    late.callbacks.append(lambda ev: admitted.append((ev.item, sim.now)))
+
+    def consumer():
+        for _ in range(4):
+            yield sim.timeout(1)
+            yield store.get()
+
+    sim.process(consumer())
+    sim.run_all()
+    assert admitted == [("b", 1.0), ("c", 2.0), ("d", 3.0)]
+    assert store.total_puts == 4 and store.total_gets == 4 and not store.items
