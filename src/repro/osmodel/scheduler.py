@@ -39,16 +39,16 @@ path unchanged.
 The general path keeps the same arithmetic in fewer Python calls: a
 departure makes one pass over the jobs (subtract, clamp, collect the
 finished ones, take the survivors' minimum), a level change updates the
-run-queue and busy integrals with one ``TimeWeighted.set_with``, and a
-pending timer is moved with ``Timeout.rearm``, which is exactly the old
-cancel + ``sim.timeout`` in heap slots, sequence numbers and cancel counts.
+run-queue and busy integrals with one ``TimeWeighted.set_with``, and the
+CPU's one :class:`~repro.sim.core.Timer` is set in place: exactly a cancel
++ ``sim.timeout`` in heap slots, sequence numbers and cancel counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Event, Simulator, Timer
 from ..sim.monitor import LazyStat, StatSet, TimeWeighted
 
 __all__ = ["ProcessorSharingCPU"]
@@ -94,12 +94,11 @@ class ProcessorSharingCPU:
         self._next_job_id = 0
         self._last = sim.now
         self._epoch = 0
-        self._timer: Optional[Event] = None
+        #: the one completion timer; the armed epoch rides in its value
+        self._timer = Timer(sim, self._on_timer, f"{name}.timer")
         #: cached min(job.remaining) — bit-identical to a full rescan (see
         #: module docstring); inf when idle
         self._shortest = _INF
-        #: the one bound completion callback (no per-reschedule lambda)
-        self._on_timer_cb = self._on_timer
         self.stats = StatSet(name)
         self.run_queue = TimeWeighted(f"{name}.runq", start_time=sim.now)
         self.busy = TimeWeighted(f"{name}.busy", start_time=sim.now)
@@ -146,8 +145,7 @@ class ProcessorSharingCPU:
             self._shortest = demand_seconds
             self.run_queue.set_with(1, self.busy, 1.0, now)
             self._epoch = epoch = self._epoch + 1
-            timer = self._timer = sim.timeout(demand_seconds, value=epoch)
-            timer.callbacks.append(self._on_timer_cb)
+            self._timer.set(demand_seconds, epoch)
             return event
         self._advance()
         jobs[job_id] = _Job(event, demand_seconds)
@@ -184,33 +182,20 @@ class ProcessorSharingCPU:
         # The superseded timer never reaches the event queue's dispatch:
         # with hundreds of co-located kernels, arrival and departure rates
         # make stale completion timers the dominant event source otherwise.
-        # A pending timer is moved with Timeout.rearm, which is exactly
-        # cancel + sim.timeout in heap slots, sequence numbers and
-        # events_cancelled.  The epoch guard stays as a second line of
-        # defence (a timer firing in the same timestep cannot be
-        # cancelled).
-        timer = self._timer
+        # Timer.set moves a pending timer exactly as cancel + sim.timeout
+        # would in heap slots, sequence numbers and events_cancelled.  The
+        # epoch guard stays as a second line of defence (a timer firing in
+        # the same timestep cannot be cancelled).
         jobs = self._jobs
         if not jobs:
-            if timer is not None:
-                timer.cancel()
-                self._timer = None
+            self._timer.clear()
             self._shortest = _INF
             return
-        delay = self._shortest / self.rate(len(jobs))
-        # The armed epoch rides in the timeout's value, so one cached bound
-        # method serves every timer — no per-reschedule closure allocation.
-        if timer is not None:
-            timer._value = epoch
-            timer.rearm(delay)
-            return
-        timer = self._timer = self.sim.timeout(delay, value=epoch)
-        timer.callbacks.append(self._on_timer_cb)
+        self._timer.set(self._shortest / self.rate(len(jobs)), epoch)
 
     def _on_timer(self, event: Event) -> None:
         if event._value != self._epoch:
             return  # superseded by a later arrival/departure
-        self._timer = None
         jobs = self._jobs
         if len(jobs) == 1:
             now = self.sim.now

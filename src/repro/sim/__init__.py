@@ -22,6 +22,7 @@ from .core import (
     Process,
     Simulator,
     Timeout,
+    Timer,
 )
 from .resources import Container, Mutex, Release, Request, Resource, Store
 from .rng import RandomStreams
@@ -39,6 +40,7 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
+    "Timer",
     "Container",
     "Mutex",
     "Release",

@@ -29,12 +29,9 @@ this loop, so the engine has a deliberate fast path (benchmarked with
   (you cancel only events you hold *every* reference to) is exactly what
   makes the recycling safe, and timer churn was the engine's dominant
   allocation;
-* :meth:`Timeout.rearm` moves a pending timer to a new delay on the same
-  object — exactly :meth:`Timeout.cancel` followed by
-  :meth:`Simulator.timeout` in heap slots, sequence numbers and
-  ``events_cancelled``, minus the pool round trip and the callback
-  re-registration (the traffic layer's PS servers move their departure
-  timer this way on every arrival and removal);
+* a :class:`Timer` is one timer object for its owner's whole lifetime
+  (each PS queue and each traffic tenant holds one): setting it is a
+  cancel plus a new timeout in heap terms, minus the allocation;
 * :class:`Timeout` construction inlines both the :class:`Event`
   constructor and the scheduling push — it is the hottest allocation site;
 * :meth:`Simulator.start` runs a fire-and-forget process's first step in
@@ -58,6 +55,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "Event",
     "Timeout",
+    "Timer",
     "Process",
     "Interrupt",
     "ConditionError",
@@ -234,28 +232,46 @@ class Timeout(Event):
         if type(self) is Timeout and len(sim._timeout_pool) < _TIMEOUT_POOL_MAX:
             sim._timeout_pool.append(self)
 
-    def rearm(self, delay: float) -> None:
-        """Move a pending timeout to fire ``delay`` from now (owner-only).
 
-        Exactly :meth:`cancel` followed by :meth:`Simulator.timeout` on the
-        same object: the old heap slot is nulled, ``events_cancelled`` goes
-        up by one, and a fresh slot with a fresh sequence number is pushed.
-        The callbacks, name and value are kept, and the timeout pool is
-        left alone.  Re-arming a timeout that has fired or been cancelled
-        raises instead of corrupting the heap.
-        """
-        entry = self._entry
-        if entry is None:
-            raise RuntimeError(f"cannot rearm {self!r}: it has fired or been cancelled")
+class Timer(Event):
+    """One timer object for its owner's whole lifetime, firing
+    ``callback(timer)`` with ``timer._value`` as the last :meth:`set` gave.
+
+    :meth:`set` is exactly a cancel of the pending firing, if any, plus a
+    new :meth:`Simulator.timeout`: same heap slots, sequence numbers and
+    ``events_cancelled``.  :meth:`clear` cancels and never pools the
+    object.  Nothing but the owner's callback may wait on a timer.
+    """
+
+    __slots__ = ("_armed",)
+
+    def __init__(self, sim: "Simulator", callback: Callable[["Timer"], None], name: str = ""):
+        self.sim = sim
+        self.name = name
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._scheduled = True  # moved by set/clear only, never by _schedule
+        self._entry = None
+        #: the one callback list every set re-registers; the run loop never mutates it
+        self._armed = [callback]
+
+    def set(self, delay: float, value: Any = None) -> None:
+        """Fire ``delay`` from now with ``value``, moving a pending firing."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        entry[3] = None
         sim = self.sim
-        sim.events_cancelled += 1
-        self.delay = delay
+        entry = self._entry
+        if entry is not None:
+            entry[3] = None
+            sim.events_cancelled += 1
+        self._value = value
+        self.callbacks = self._armed
         sim._seq = seq = sim._seq + 1
         self._entry = entry = [sim.now + delay, PRIORITY_NORMAL, seq, self]
         heappush(sim._queue, entry)
+
+    clear = Event.cancel
 
 
 class Initialize(Event):

@@ -2,11 +2,11 @@
 
 One :class:`TrafficEngine` run wires together:
 
-* one generator process per tenant, pacing that tenant's arrival process
-  from its own RNG substream (``trf.arr.<tenant>``) and drawing service
-  sizes from another (``trf.svc.<tenant>``) — tenants never share draws,
-  so adding a tenant or switching the dispatch policy perturbs nobody
-  else's sample path;
+* one arrival :class:`~repro.sim.core.Timer` per tenant, pacing that
+  tenant's arrival process from its own RNG substream
+  (``trf.arr.<tenant>``) and drawing service sizes from another
+  (``trf.svc.<tenant>``) — tenants never share draws, so adding a tenant
+  or switching the dispatch policy perturbs nobody else's sample path;
 * admission control: a per-tenant :class:`~repro.traffic.tenants.TokenBucket`
   consulted at arrival, before any dispatch draw;
 * a dispatch policy (:mod:`repro.traffic.policies`) fanning each admitted
@@ -20,9 +20,12 @@ One :class:`TrafficEngine` run wires together:
 * SLO accounting (:mod:`repro.traffic.slo`), ``trf`` stat counters, and
   optional sampled request spans / metrics series through ``repro.obs``.
 
-Requests are **not** simulation processes: a request is a tiny record,
-its lifecycle driven by the servers' departure timers — two-ish events
-per request end to end, which is what makes 10^6-request runs routine.
+Requests are **not** simulation processes, and neither are tenants: a
+request is a tiny record, its lifecycle driven by the tenant's arrival
+timer and the servers' departure timers.  A single-tenant run without
+crashes or elasticity processes exactly two events per request (its
+arrival and the departure of its first finished clone), and allocates no
+timer per event, which is what makes 10^6-request runs routine.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..errors import ConfigurationError
 from ..obs.metrics import MetricsSampler
 from ..obs.spans import SpanRecorder
 from ..resilience.campaign import CrashPlan
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timer
 from ..sim.monitor import LazyStat, StatSet
 from ..sim.rng import RandomStreams
 from ..ssi.endpoints import ServiceDirectory
@@ -219,6 +222,7 @@ class TrafficEngine:
             directory=self.directory,
             stats=self.stats,
             max_servers=config.elastic.max_servers if config.elastic else None,
+            on_complete=self._on_clone_complete,
         )
         if config.elastic and config.elastic.min_servers > config.n_servers:
             raise ConfigurationError(
@@ -234,8 +238,6 @@ class TrafficEngine:
                 f"policy {config.policy!r} needs elastic min_servers >= "
                 f"{self.policy.n_clones}"
             )
-        for server in self.cluster.servers:
-            server.on_complete = self._on_clone_complete
         self.slo = SLOTracker([t.name for t in config.tenants])
         self.buckets: Dict[str, TokenBucket] = {}
         for spec in config.tenants:
@@ -251,50 +253,13 @@ class TrafficEngine:
             self.sampler.register("trf.queue_total", lambda: self.cluster.total_queue())
             self.sampler.register_statset("trf", self.stats)
         self._outstanding = 0
-        self._generators_live = 0
+        self._tenants_live = 0
         self._admitted = 0
         self._t_done = 0.0
         #: offered work (seconds) since the last elastic window reset
         self._window_work = 0.0
 
     # -- request lifecycle ----------------------------------------------
-    def _offer(self, spec: TenantSpec, svc_rng, now: float) -> None:
-        slo = self.slo
-        name = spec.name
-        self._c_offered.increment()
-        slo.offered[name] += 1
-        bucket = self.buckets.get(name)
-        if bucket is not None and not bucket.try_take(now):
-            self._c_rejected.increment()
-            slo.rejected[name] += 1
-            return
-        self._c_admitted.increment()
-        self._admitted += 1
-        request = _Request(name, now)
-        targets = self.policy.select(self.cluster, self._dispatch_rng, now)
-        if (
-            self.recorder.enabled
-            and self._admitted % self.config.span_sample == 0
-        ):
-            request.span = self.recorder.begin(
-                now, f"trf.request.{name}", "request",
-                pid=targets[0], tid=0,
-            )
-        if len(targets) > 1:
-            self._c_cloned.increment()
-        servers = self.cluster.servers
-        sample = spec.service.sample
-        clones = request.clones
-        for server_id in targets:
-            size = sample(svc_rng)
-            self._t_work.observe(size)
-            self._window_work += size
-            clone = Clone(request, size)
-            clones.append(clone)
-            self._c_dispatched.increment()
-            servers[server_id].admit(clone, now)
-        self._outstanding += 1
-
     def _on_clone_complete(self, clone: Clone, now: float) -> None:
         request = clone.request
         if request.done:  # pragma: no cover - siblings are cancelled below
@@ -314,26 +279,73 @@ class TrafficEngine:
             self.recorder.end(request.span, now)
         clones.clear()
         self._outstanding -= 1
-        if self._outstanding == 0 and self._generators_live == 0:
+        if self._outstanding == 0 and self._tenants_live == 0:
             self._t_done = now
 
-    # -- processes -------------------------------------------------------
-    def _tenant_proc(self, spec: TenantSpec) -> Generator:
-        next_gap = spec.arrivals.gaps(self.streams.stream(f"trf.arr.{spec.name}"))
-        svc_rng = self.streams.stream(f"trf.svc.{spec.name}")
+    # -- tenants and processes --------------------------------------------
+    def _start_tenant(self, spec: TenantSpec) -> None:
+        """Arm one tenant's arrival timer.  Each firing offers a request,
+        then sets the next gap, as a loop yielding a timeout would, so heap
+        ties fall the same way.  The offer path binds its invariants once;
+        each ``LazyStat`` is still first touched where it was, so stat keys
+        enter ``snapshot()`` and the metrics series at the same moments."""
+        name = spec.name
+        next_gap = spec.arrivals.gaps(self.streams.stream(f"trf.arr.{name}"))
+        svc_rng = self.streams.stream(f"trf.svc.{name}")
+        sample = spec.service.sample
+        bucket = self.buckets.get(name)
+        offered, rejected = self.slo.offered, self.slo.rejected
+        select, cluster, dispatch_rng = self.policy.select, self.cluster, self._dispatch_rng
+        servers = cluster.servers  # grown in place by the elastic controller
+        recorder = self.recorder
+        span_sample = self.config.span_sample if recorder.enabled else 0
         sim = self.sim
-        for _ in range(spec.n_requests):
-            yield sim.timeout(next_gap(), name="trf.arrival")
-            self._offer(spec, svc_rng, sim.now)
-        self._generators_live -= 1
-        if self._generators_live == 0 and self._outstanding == 0:
-            self._t_done = sim.now
+        left = spec.n_requests
+
+        def arrive(timer: Timer) -> None:
+            nonlocal left
+            now = sim.now
+            self._c_offered.increment()
+            offered[name] += 1
+            if bucket is not None and not bucket.try_take(now):
+                self._c_rejected.increment()
+                rejected[name] += 1
+            else:
+                self._c_admitted.increment()
+                self._admitted += 1
+                request = _Request(name, now)
+                targets = select(cluster, dispatch_rng, now)
+                if span_sample and self._admitted % span_sample == 0:
+                    request.span = recorder.begin(
+                        now, f"trf.request.{name}", "request", pid=targets[0], tid=0,
+                    )
+                if len(targets) > 1:
+                    self._c_cloned.increment()
+                clones = request.clones
+                for server_id in targets:
+                    size = sample(svc_rng)
+                    self._t_work.observe(size)
+                    self._window_work += size
+                    clone = Clone(request, size)
+                    clones.append(clone)
+                    self._c_dispatched.increment()
+                    servers[server_id].admit(clone, now)
+                self._outstanding += 1
+            left -= 1
+            if left:
+                timer.set(next_gap())
+                return
+            self._tenants_live -= 1
+            if self._tenants_live == 0 and self._outstanding == 0:
+                self._t_done = now
+
+        Timer(sim, arrive, "trf.arrival").set(next_gap())
 
     def _elastic_proc(self, cfg: ElasticConfig) -> Generator:
         sim = self.sim
         while True:
             yield sim.timeout(cfg.interval, name="trf.elastic")
-            if self._generators_live == 0 and self._outstanding == 0:
+            if self._tenants_live == 0 and self._outstanding == 0:
                 return
             rate = self._window_work / cfg.interval
             self._window_work = 0.0
@@ -345,9 +357,6 @@ class TrafficEngine:
             current = self.cluster.n_active
             if desired > current:
                 self.cluster.grow(desired - current)
-                for server in self.cluster.servers:
-                    if server.on_complete is None:
-                        server.on_complete = self._on_clone_complete
             elif desired < current:
                 self.cluster.shrink(current - desired)
 
@@ -367,9 +376,6 @@ class TrafficEngine:
     def _restart_proc(self, server_id: int, after: float) -> Generator:
         yield self.sim.timeout(after)
         self.cluster.restart(server_id)
-        server = self.cluster.servers[server_id]
-        if server.on_complete is None:  # pragma: no cover - set at build time
-            server.on_complete = self._on_clone_complete
 
     def _reassign(self, lost: List[Clone], now: float) -> None:
         """Re-dispatch requests whose every clone died with the server.
@@ -399,9 +405,9 @@ class TrafficEngine:
     def run(self) -> TrafficResult:
         config = self.config
         sim = self.sim
-        self._generators_live = len(config.tenants)
+        self._tenants_live = len(config.tenants)
         for spec in config.tenants:
-            sim.process(self._tenant_proc(spec), name=f"trf.tenant.{spec.name}")
+            self._start_tenant(spec)
         if config.elastic is not None:
             sim.process(self._elastic_proc(config.elastic), name="trf.elastic")
         if config.crashes:

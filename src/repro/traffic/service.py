@@ -12,15 +12,16 @@ so a million-request run stays tractable on the event engine:
 * a job admitted at ``V0`` with ``size`` seconds of work departs when
   ``V`` reaches ``V0 + size`` — a constant, computed once;
 * departures are a min-heap on that finish virtual time with lazy
-  deletion (cancelled clones stay in the heap, dead), and exactly one
-  armed :class:`~repro.sim.core.Timeout` per server covers the next
-  departure.  Every arrival/removal moves it with
-  :meth:`~repro.sim.core.Timeout.rearm` (cancel + re-schedule on the
-  same object), and it is cancelled outright when the server empties or
+  deletion (cancelled clones stay in the heap, dead), and one
+  :class:`~repro.sim.core.Timer` per server, held for the server's whole
+  lifetime, covers the next departure.  Every arrival, removal and
+  departure sets it with :meth:`~repro.sim.core.Timer.set` (which moves a
+  pending firing in place), and it is cleared when the server empties or
   goes down.
 
-So one request costs O(log n) heap work and ~2 events end to end,
-independent of how many jobs share the server.
+So one request costs O(log n) heap work and one departure event per
+completed clone, independent of how many jobs share the server, and no
+timer object is allocated per event.
 
 :class:`VirtualCluster` holds the server pool and makes it *elastic*:
 ``grow``/``shrink`` add capacity or drain it away (a shrinking server
@@ -37,7 +38,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timer
 from ..ssi.endpoints import ServiceDirectory
 
 __all__ = ["Clone", "PSServer", "VirtualCluster"]
@@ -62,7 +63,7 @@ class PSServer:
 
     __slots__ = (
         "sim", "server_id", "rate", "jobs", "_heap", "_vtime", "_vlast",
-        "_timer", "_on_depart_cb", "on_complete", "up", "draining",
+        "_timer", "on_complete", "up", "draining",
         "busy_area", "completed",
     )
 
@@ -78,9 +79,7 @@ class PSServer:
         self._heap: List[list] = []
         self._vtime = 0.0
         self._vlast = sim.now
-        self._timer = None
-        #: the departure callback, bound once rather than per re-arm
-        self._on_depart_cb = self._on_depart
+        self._timer = Timer(sim, self._on_depart, "trf.depart")
         #: called as on_complete(clone, now) when a clone finishes
         self.on_complete: Optional[Callable[[Clone, float], None]] = None
         self.up = True
@@ -126,7 +125,7 @@ class PSServer:
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         heappush(self._heap, [vfinish, seq, clone])
-        self._rearm()
+        self._set_timer()
 
     def remove(self, clone: Clone, now: float) -> None:
         """Cancel a resident clone (sibling won the race, or reassigned)."""
@@ -136,33 +135,22 @@ class PSServer:
         clone.alive = False
         clone.server = None
         del self.jobs[clone]
-        self._rearm()
+        self._set_timer()
 
     # -- departures ------------------------------------------------------
-    def _rearm(self) -> None:
-        """Point the departure timer at the heap's next live clone.
-
-        A pending timer is moved in place (``Timeout.rearm`` is exactly
-        cancel + a fresh timeout); it is cancelled when nothing is left
-        to depart or the server is down.
-        """
+    def _set_timer(self) -> None:
+        """Point the departure timer at the heap's next live clone, or
+        clear it when nothing is left to depart or the server is down."""
         heap = self._heap
         while heap and not heap[0][2].alive:
             heappop(heap)
-        timer = self._timer
         if not heap or not self.up:
-            if timer is not None:
-                timer.cancel()  # owner-only cancel: recycled via the pool
-                self._timer = None
+            self._timer.clear()
             return
         delay = (heap[0][0] - self._vtime) * len(self.jobs) / self.rate
         if delay < 0.0:
             delay = 0.0
-        if timer is not None:
-            timer.rearm(delay)
-        else:
-            self._timer = timer = self.sim.timeout(delay, name="trf.depart")
-            timer.callbacks.append(self._on_depart_cb)
+        self._timer.set(delay)
 
     def _on_depart(self, _event) -> None:
         now = self.sim.now
@@ -173,7 +161,6 @@ class PSServer:
             self._vtime += dt * self.rate / n
             self.busy_area += dt
         self._vlast = now
-        self._timer = None
         heap = self._heap
         while heap and not heap[0][2].alive:
             heappop(heap)
@@ -184,7 +171,7 @@ class PSServer:
         clone.server = None
         del jobs[clone]
         self.completed += 1
-        self._rearm()
+        self._set_timer()
         # Callback last: it may cancel sibling clones on other servers.
         if self.on_complete is not None:
             self.on_complete(clone, now)
@@ -194,9 +181,7 @@ class PSServer:
         """Take the server down; returns the clones lost with it."""
         self._advance(now)
         self.up = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer.clear()
         # Admission order: reassignment draws must not follow heap addresses.
         lost = list(self.jobs.values())
         for clone in lost:
@@ -224,6 +209,7 @@ class VirtualCluster:
         directory: Optional[ServiceDirectory] = None,
         stats=None,
         max_servers: Optional[int] = None,
+        on_complete: Optional[Callable[[Clone, float], None]] = None,
     ):
         if n_servers < 1:
             raise ConfigurationError(f"need at least one server, got {n_servers}")
@@ -233,6 +219,8 @@ class VirtualCluster:
         self.directory = directory if directory is not None else ServiceDirectory()
         self.stats = stats
         self.max_servers = max_servers
+        #: given to every server this cluster creates
+        self.on_complete = on_complete
         self.servers: List[PSServer] = []
         #: ids of servers accepting new work, ascending
         self.active: List[int] = []
@@ -244,6 +232,7 @@ class VirtualCluster:
     # -- pool management -------------------------------------------------
     def _add_server(self) -> PSServer:
         server = PSServer(self.sim, len(self.servers), self.rate)
+        server.on_complete = self.on_complete
         self.servers.append(server)
         self.active.append(server.server_id)
         self.directory.register(self.service_name, server.server_id, self.sim.now)

@@ -173,6 +173,42 @@ def test_record_refuses_an_entry_that_fails_a_gate(tmp_path, monkeypatch):
     assert recorded[-1]["results"] == committed
 
 
+def test_record_stores_a_paired_summary_of_this_host_only(tmp_path, monkeypatch, capsys):
+    path = _trajectory_copy(tmp_path, "hostbench")
+    committed = check_bench.load_trajectory(path)[-1]["results"]
+    suites = check_bench.SUITES
+    monkeypatch.setitem(suites, "hostbench", suites["hostbench"]._replace(
+        measure=lambda args: (committed, {})))
+    summary = {"pass_s": {"parent": [4.5, 4.6, 4.7], "change": [3.9, 4.0, 4.1],
+                          "pairs": 10, "wins": 10}}
+    run = {**paired_bench.host_stamp(), "workload": "traffic_sweep", "parent": "abc1234",
+           "seeds": [1, 10], "seconds": 12.0, "summary": summary}
+    paired = tmp_path / "paired.json"
+    paired.write_text(json.dumps(run))
+    argv = ["--suite", "hostbench", "--record", "--baseline", str(path),
+            "--paired", str(paired), "--label", "paired"]
+    before = path.read_text()
+
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({**run, "cpus": 999}))
+    with pytest.raises(SystemExit):
+        check_bench.main(argv[:-4] + ["--paired", str(foreign)])
+    with pytest.raises(SystemExit):  # only the hostbench suite records one
+        check_bench.main(["--suite", "traffic", "--paired", str(paired)])
+    assert path.read_text() == before
+
+    assert check_bench.main(argv) == 0
+    entry = check_bench.load_trajectory(path)[-1]
+    assert entry["results"] == committed
+    assert entry["paired"]["traffic_sweep"]["summary"] == summary
+    assert check_bench.host_stamp(entry["paired"]["traffic_sweep"]) == check_bench.host_stamp(entry)
+    # the paired key sits outside results: the exact comparison ignores it
+    assert check_bench.compare(committed, {}, [entry], (), 0.15) == 0
+    assert check_bench.main(["--suite", "hostbench", "--trajectory",
+                             "--baseline", str(path)]) == 0
+    assert "traffic_sweep pass_s 4.6 -> 4 (10/10 wins)" in capsys.readouterr().out
+
+
 #: one exact field per suite to perturb in the compare test
 _EXACT_PROBES = {"engine": "events", "transport": "retransmissions",
                  "traffic": "p99", "hostbench": "sim.events"}

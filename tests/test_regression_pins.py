@@ -202,44 +202,44 @@ _CLONE_KEYS = [
 ]
 TRAFFIC_PINS = {
     "random": {
-        "sha256": "3799bc12d65abc60008850b0742a24f70186907743be0d19541a123501f75d93",
+        "sha256": "8e979472af892173a8b50f9e006141bb96074c08eadc3f6c86156cb256987648",
         "mean": "0x1.3c8fa88ccc83fp+1",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 1659,
         "stat_keys": _SINGLE_KEYS,
     },
     "rr": {
-        "sha256": "bb64e17d9d0ada2c9fda23e7f1ffbd7d7d5d0074cb371b5f75cb81e794989f37",
+        "sha256": "b58ecff085b3746207dd81a7efdc9d21024bb81f748c707c7c07b65ed4ce9efd",
         "mean": "0x1.ca14af544fff2p+0",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 1232,
         "stat_keys": _SINGLE_KEYS,
     },
     "jsq": {
-        "sha256": "39b2ad8147f3c19ece0b041e9ccc9588e8251a6918e99eba97f583c1e7cf0f4e",
+        "sha256": "527cc356e7cd7dfe28b5f50879fe57b7d7b6453b084f993cebd87d0086c7bc80",
         "mean": "0x1.5075afea9e168p+0",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 830,
         "stat_keys": _SINGLE_KEYS,
     },
     "lwl": {
-        "sha256": "979a62b4edfd0b10069d8fc28c9b98bf43c2502a0283a336880fd45c71712692",
+        "sha256": "ad87a24b22f3c0691a2e0a3b23ea14f0d536d0ce070c52f132fd39c2beae7a88",
         "mean": "0x1.546671fe6f7edp+0",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 972,
         "stat_keys": _SINGLE_KEYS,
     },
     "clone-2": {
-        "sha256": "97a62f7e510f8c1d988db32175c74efcba2c7962600e3bb4c51cfcf59d3651c6",
+        "sha256": "9cad2ae646fbabfcd2ed6667276ed5c5a303a0311ff93833202fc53dcdfc0c90",
         "mean": "0x1.a673dad807de0p-1",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 5114,
         "stat_keys": _CLONE_KEYS,
     },
     "clone-3": {
-        "sha256": "5fa862a1258c107b784ee19e3dc954127a70a48b6a59c0a1583d982ac63b5983",
+        "sha256": "6f4f3034fbdc8ac4f61890fbcb17bb4808d0b5f9878c42cf12b4330109ed442e",
         "mean": "0x1.30796e6646111p-1",
-        "sim_events": 6153,
+        "sim_events": 6149,
         "events_cancelled": 8630,
         "stat_keys": _CLONE_KEYS,
     },

@@ -1,4 +1,5 @@
-"""Event.cancel() interacting with conditions, kill(), and the Timeout pool.
+"""Event.cancel() interacting with conditions, kill(), the Timeout pool and
+owner-held Timers.
 
 The engine deletes cancelled events *lazily* — the heap slot is nulled and
 the object may be recycled — so these tests pin the safety properties that
@@ -10,7 +11,7 @@ event's callback list.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import AllOf, AnyOf, Event, Simulator
+from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout, Timer
 
 
 # -- cancel vs AllOf/AnyOf ----------------------------------------------------
@@ -171,9 +172,9 @@ def test_cancelled_event_visible_in_census_counter():
     assert sim.events_processed == 1
 
 
-# -- Timeout.rearm ------------------------------------------------------------
+# -- Timer --------------------------------------------------------------------
 #: one step of a timer schedule: (wait before acting, timer index, delay);
-#: a delay of None cancels the timer.  Small integer grids make equal-time
+#: a delay of None clears the timer.  Small integer grids make equal-time
 #: ties between timers, schedule wake-ups and callbacks the common case.
 _TIMER_STEPS = st.lists(
     st.tuples(
@@ -185,92 +186,119 @@ _TIMER_STEPS = st.lists(
 )
 
 
-def _drive_timers(steps, use_rearm):
+def _drive_timers(steps, use_timer):
     """Run ``steps`` against four owner-held timers; return what we saw.
 
-    A firing re-arms the next timer at the same delay (at most two hops
-    per chain), as a PS server's departure re-arms its timer from inside
-    the callback.  ``use_rearm``
-    moves a pending timer with :meth:`Timeout.rearm`; otherwise it is
-    cancelled and replaced by a fresh :meth:`Simulator.timeout`.
+    A firing sets the next timer at the same delay (at most two hops per
+    chain), as a PS server's departure sets its timer from inside the
+    callback.  ``use_timer`` drives four :class:`Timer` objects with
+    ``set``/``clear``; otherwise a pending timeout is cancelled and
+    replaced by a fresh :meth:`Simulator.timeout`.
     """
     sim = Simulator()
-    timers = [None] * 4
     fired = []
-
     hops = [0] * 4
+    delays = [0.0] * 4
+    timeouts = [None] * 4
+
+    def on_fire(i):
+        fired.append((sim.now, i))
+        timeouts[i] = None
+        if hops[i]:
+            arm((i + 1) % 4, delays[i], hops[i] - 1)
+
+    timers = [Timer(sim, lambda _t, i=i: on_fire(i), f"t{i}") for i in range(4)]
 
     def arm(i, delay, hop=2):
         hops[i] = hop
-        timer = timers[i]
-        if timer is not None and use_rearm:
-            timer.rearm(delay)
+        delays[i] = delay
+        if use_timer:
+            timers[i].set(delay)
             return
-        if timer is not None:
-            timer.cancel()
-        timers[i] = sim.timeout(delay, name=f"t{i}")
-        timers[i].callbacks.append(lambda ev, i=i: on_fire(i, ev.delay))
+        if timeouts[i] is not None:
+            timeouts[i].cancel()
+        timeouts[i] = sim.timeout(delay, name=f"t{i}")
+        timeouts[i].callbacks.append(lambda _ev, i=i: on_fire(i))
 
-    def on_fire(i, delay):
-        fired.append((sim.now, i))
-        timers[i] = None
-        if hops[i]:
-            arm((i + 1) % 4, delay, hops[i] - 1)
+    def clear(i):
+        if use_timer:
+            timers[i].clear()
+        elif timeouts[i] is not None:
+            timeouts[i].cancel()
+            timeouts[i] = None
 
     def schedule():
         for wait, i, delay in steps:
             if wait:
                 yield sim.timeout(wait)
             if delay is None:
-                if timers[i] is not None:
-                    timers[i].cancel()
-                    timers[i] = None
+                clear(i)
             else:
                 arm(i, delay)
 
     sim.process(schedule())
     sim.run(max_events=10_000)
+    assert not any(type(t) is Timer for t in sim._timeout_pool)
     return fired, sim.events_cancelled, sim.events_processed, sim._seq
 
 
 @settings(max_examples=200, deadline=None)
 @given(steps=_TIMER_STEPS)
-def test_rearm_equals_cancel_plus_timeout(steps):
+def test_timer_set_equals_cancel_plus_timeout(steps):
     """Same dispatch order, cancellation and event counts, and final
-    sequence number whether a pending timer is moved or replaced."""
-    assert _drive_timers(steps, use_rearm=True) == _drive_timers(steps, use_rearm=False)
+    sequence number whether a Timer is set or a timeout replaced."""
+    assert _drive_timers(steps, use_timer=True) == _drive_timers(steps, use_timer=False)
 
 
-def test_rearm_keeps_callbacks_name_and_pool():
+def test_timer_set_moves_a_pending_timer_keeping_callback_and_name():
     sim = Simulator()
     seen = []
-    t = sim.timeout(5.0, name="dep")
-    t.callbacks.append(lambda ev: seen.append((sim.now, ev.name)))
-    pool = list(sim._timeout_pool)
-    t.rearm(2.0)
-    assert sim._timeout_pool == pool
+    t = Timer(sim, lambda ev: seen.append((sim.now, ev.name, ev.value)), "dep")
+    assert sim._seq == 0 and sim._queue == []  # building one touches no heap
+    t.set(5.0, "a")
+    t.set(2.0, "b")
+    assert sim._timeout_pool == []
     assert sim.events_cancelled == 1
     assert sim._seq == 2
     sim.run_all()
-    assert seen == [(2.0, "dep")]
+    assert seen == [(2.0, "dep", "b")]
     assert sim.events_processed == 1
 
 
-def test_rearm_fired_or_cancelled_timeout_raises():
+def test_timer_set_after_fire_or_clear_reuses_the_object():
     sim = Simulator()
-    fired = sim.timeout(1.0)
+    fired = []
+    t = Timer(sim, fired.append)
+    t.set(1.0)
     sim.run_all()
-    with pytest.raises(RuntimeError, match="fired or been cancelled"):
-        fired.rearm(1.0)
-    cancelled = sim.timeout(1.0)
-    cancelled.cancel()
-    with pytest.raises(RuntimeError, match="fired or been cancelled"):
-        cancelled.rearm(1.0)
-    live = sim.timeout(1.0)
+    assert fired == [t]
+    seq = sim._seq
+    t.set(1.0)  # after a fire: the same object, a fresh seq, no cancel
+    assert t._entry[3] is t and t._entry[2] == seq + 1
+    assert sim.events_cancelled == 0
+    t.clear()
+    t.set(0.5)  # after a clear
+    assert t._entry[2] == seq + 2 and sim.events_cancelled == 1
     with pytest.raises(ValueError):
-        live.rearm(-1.0)
-    # None of the refused calls touched the heap or the counters.
-    assert [entry[3] for entry in sim._queue if entry[3] is not None] == [live]
-    assert sim.events_cancelled == 1
+        t.set(-1.0)
+    # The refused call touched neither the heap nor the counters.
+    assert [entry[3] for entry in sim._queue if entry[3] is not None] == [t]
+    assert sim.events_cancelled == 1 and sim._seq == seq + 2
     sim.run_all()
-    assert sim.now == 2.0 and sim.events_processed == 2
+    assert fired == [t, t] and sim.now == 1.5 and sim.events_processed == 2
+
+
+def test_timer_clear_never_pools_the_object():
+    sim = Simulator()
+    t = Timer(sim, lambda ev: None)
+    t.clear()  # idle: a no-op
+    assert sim.events_cancelled == 0
+    t.set(1.0)
+    t.clear()
+    t.clear()  # second clear: not double-counted
+    assert sim.events_cancelled == 1
+    assert sim._timeout_pool == []
+    fresh = sim.timeout(1.0)
+    assert fresh is not t and type(fresh) is Timeout
+    sim.run_all()
+    assert sim.events_processed == 1

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.resilience.campaign import CrashPlan
+from repro.sim import Simulator
 from repro.sim.statreg import COUNTERS, TALLIES
 from repro.ssi import ServiceDirectory
 from repro.traffic.analytic import (
@@ -47,6 +48,7 @@ from repro.traffic.engine import (
     run_traffic,
 )
 from repro.traffic.policies import make_policy
+from repro.traffic.service import Clone, PSServer
 from repro.traffic.slo import SUBDIV, LatencyHistogram
 from repro.traffic.tenants import QuotaConfig, TenantSpec, TokenBucket
 
@@ -484,7 +486,7 @@ def _canonical_sha(result):
 
 #: canonical digest of the crash campaign; its 185 reassignment draws go to
 #: the lost clones in admission order
-CRASH_CAMPAIGN_SHA = "760f86aa2529dd76187adb2c6d919e5acdee1eefb5544896bd87fded4504527e"
+CRASH_CAMPAIGN_SHA = "4b35998a4f0fa44c5f2f64a6042fcc1e710a7791a080f0ba7ed85384d577c9d8"
 
 
 def test_crash_reassignment_independent_of_memory_layout():
@@ -514,6 +516,75 @@ def test_crash_reassignment_independent_of_memory_layout():
     assert out.returncode == 0, out.stderr
     digests.append(out.stdout.strip())
     assert digests == [CRASH_CAMPAIGN_SHA] * 4
+
+
+def _clone_crash_campaign_config():
+    """clone-2 on 6 servers (clone groups {0,1}, {2,3}, {4,5}).  Groups
+    {2,3} and {4,5} each lose both members 0.1 s apart and restart them
+    later: most requests there lose one clone and keep a live sibling,
+    and a few lose both and are reassigned."""
+    return TrafficConfig(
+        tenants=(TenantSpec(
+            "t", PoissonArrivals(3.6), Pareto(alpha=1.5, mean=1.0), 4000,
+        ),),
+        n_servers=6,
+        policy="clone-2",
+        seed=21,
+        crashes=tuple(
+            CrashPlan(kernel_id=k, at=at, restart_after=after)
+            for k, at, after in ((2, 200.0, 150.0), (3, 200.1, 150.0),
+                                 (4, 600.0, 100.0), (5, 600.1, 100.0))
+        ),
+    )
+
+
+def _sha_without_sim_events(result):
+    canonical = result.canonical()
+    del canonical["sim_events"]  # counts heap events, not simulated outcomes
+    return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
+
+
+#: the clone-2 campaign's digest without ``sim_events`` and its lazily
+#: cancelled events, recorded while tenants were still generator processes
+CLONE_CRASH_PIN = ("710acd1a0b319b458526acfb7ce1f777b544afc75f93687e62715a8cfe892780", 9070)
+
+
+def test_clone_crash_restart_campaign_pinned():
+    engine = TrafficEngine(_clone_crash_campaign_config())
+    result = engine.run()
+    assert result.stats["requests_reassigned"] == 5
+    assert result.stats["server_restarts"] == 4
+    assert result.stats["requests_completed"] == result.stats["requests_admitted"] == 4000
+    assert (_sha_without_sim_events(result), engine.sim.events_cancelled) == CLONE_CRASH_PIN
+    for server in engine.cluster.servers:
+        assert server.jobs == {}
+
+
+@pytest.mark.parametrize("policy", ["random", "jsq", "clone-2"])
+def test_single_tenant_run_processes_two_events_per_request(policy):
+    """One arrival and one departure per request: a tenant is a timer, not
+    a process, and a cancelled sibling clone never reaches dispatch."""
+    result = run_traffic(_single_tenant(policy, requests=1500))
+    assert result.stats["requests_completed"] == 1500
+    assert result.sim_events == 2 * 1500
+
+
+def test_crashed_server_never_fires_its_pending_departure():
+    sim = Simulator()
+    server = PSServer(sim, 1)
+    done = []
+    server.on_complete = lambda clone, now: done.append((clone.request, now))
+    clone = Clone("lost", 2.0)
+    server.admit(clone, sim.now)
+    sim.run(until=1.0)
+    assert server.crash(sim.now) == [clone] and not clone.alive
+    sim.run_all()
+    assert done == [] and sim.events_processed == 0 and sim.events_cancelled == 1
+    assert sim._timeout_pool == []  # the server keeps its one timer
+    server.restart(sim.now)
+    server.admit(Clone("kept", 1.0), sim.now)
+    sim.run_all()
+    assert done == [("kept", 2.0)] and sim.events_processed == 1
 
 
 # -- observability ------------------------------------------------------------

@@ -27,6 +27,10 @@ Four suites, selected with ``--suite``, each one :class:`Suite` entry in
   fingerprint is not pinned: it hashes application results that go
   through numpy's BLAS, which another numpy build may round differently.
   ``hostbench/`` is imported, never changed.  No wall fields, no gates.
+  ``--record --paired PATH`` (repeatable) stores the summaries that
+  ``tools/paired_bench.py --json PATH`` wrote, measured on this host, in
+  the new entry under ``paired`` (by workload), outside ``results``: a
+  speed claim is then committed next to the exact counts it keeps.
 
 All four files share one schema::
 
@@ -211,6 +215,18 @@ def hostbench_pins(args) -> Tuple[Results, dict]:
     return results, {}
 
 
+def load_paired(paths: List[Path], parser) -> Dict[str, dict]:
+    """workload -> paired summary, refusing one measured on another host."""
+    paired = {}
+    for path in paths:
+        summary = json.loads(path.read_text())
+        here = host_stamp(stamp(""))
+        if host_stamp(summary) != here:
+            parser.error(f"{path}: measured on {host_stamp(summary)}, not on this host {here}")
+        paired[summary.pop("workload")] = summary
+    return paired
+
+
 class Suite(NamedTuple):
     """One committed ``BENCH_*.json`` file and how to measure and gate it."""
 
@@ -326,6 +342,11 @@ def show_trajectory(trajectory: list, wall: Tuple[str, ...],
             for n, r in sorted(entry["results"].items()) for fld in wall if fld in r
         )
         print(f"{entry['label']:>36} {host_stamp(entry)}" + (f": {walls}" if walls else ""))
+        for workload, run in sorted(entry.get("paired", {}).items()):
+            for name, m in run["summary"].items():
+                print(f"{'':>36}   paired vs {run['parent']}: {workload} {name} "
+                      f"{m['parent'][1]:.4g} -> {m['change'][1]:.4g} "
+                      f"({m['wins']}/{m['pairs']} wins)")
     for first, last in speedup_pairs(trajectory):
         print(f"\n{first['label']!r} -> {last['label']!r} speed-up "
               f"on {host_stamp(last)}:")
@@ -367,10 +388,16 @@ def main(argv=None) -> int:
                         help="print the committed trajectory and speed-ups")
     parser.add_argument("--require-speedup", type=float, default=None,
                         help="with --trajectory: gate micro-bench first->last speed-up")
+    parser.add_argument("--paired", type=Path, action="append", default=[],
+                        help="hostbench suite, with --record: a paired_bench.py "
+                             "--json summary to store in the entry (repeatable)")
     parser.add_argument("--require-ratio", type=float, default=10.0,
                         help="transport suite: minimum SR-vs-stop-and-wait "
                              "goodput ratio at the canonical loss point")
     args = parser.parse_args(argv)
+    if args.paired and (args.suite != "hostbench" or not args.record):
+        parser.error("--paired needs --suite hostbench --record")
+    paired = load_paired(args.paired, parser)
 
     suite = SUITES[args.suite]
     baseline = args.baseline or suite.baseline
@@ -392,7 +419,10 @@ def main(argv=None) -> int:
             print(f"\nrefusing to record a baseline that fails "
                   f"{failed} gate(s)", file=sys.stderr)
             return 1
-        trajectory.append({**stamp(args.label), **params, "results": results})
+        entry = {**stamp(args.label), **params, "results": results}
+        if paired:
+            entry["paired"] = paired
+        trajectory.append(entry)
         save_trajectory(baseline, trajectory, results)
         print(f"\nrecorded entry {args.label!r} ({len(trajectory)} total) "
               f"to {baseline}")

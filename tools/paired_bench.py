@@ -11,7 +11,9 @@ hostbench/run.py --workload W --seed N`` once there and once in the working
 tree, alternating which side goes first.  It prints each end-to-end
 metric's median and quartiles per side, the number of pairs and how many
 the working tree won (direction from ``BENCHMARK.json``), and removes the
-export when it exits.
+export when it exits.  ``--json PATH`` also writes that summary with the
+host stamp, the parent's commit and the run settings, for
+``tools/check_bench.py --suite hostbench --record --paired PATH``.
 
 The children get an environment built key by key, not a copy of the
 caller's: ``PYTHONDONTWRITEBYTECODE`` and ``PYTHONPATH`` never reach them,
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -85,6 +88,12 @@ def format_summary(workload: str, summary: Dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def host_stamp() -> dict:
+    """The host a paired summary was measured on (as ``check_bench.stamp``)."""
+    return {"machine": platform.machine(), "python": platform.python_version(),
+            "cpus": os.cpu_count()}
+
+
 def run_hostbench(root: Path, workload: str, seed: int, seconds) -> Metrics:
     cmd = [sys.executable, "hostbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
@@ -111,6 +120,8 @@ def main(argv=None) -> int:
                         help="hostbench --seconds per run (default: hostbench's)")
     parser.add_argument("--scratch", default=None,
                         help="directory for the parent's export (default: a new temp dir)")
+    parser.add_argument("--json", type=Path, default=None,
+                        help="also write the summary, host-stamped, to this file")
     args = parser.parse_args(argv)
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -133,7 +144,16 @@ def main(argv=None) -> int:
             ), file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(format_summary(args.workload, summarize(pairs, better)))
+    summary = summarize(pairs, better)
+    print(format_summary(args.workload, summary))
+    if args.json is not None:
+        commit = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=REPO,
+                                capture_output=True, text=True, check=True).stdout.strip()
+        args.json.write_text(json.dumps({
+            **host_stamp(), "workload": args.workload, "parent": commit,
+            "seeds": [args.seeds[0], args.seeds[-1]], "seconds": args.seconds,
+            "summary": summary,
+        }, indent=2, sort_keys=True) + "\n")
     return 0
 
 
