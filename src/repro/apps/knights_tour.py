@@ -11,7 +11,9 @@ cannot use the processors at all.
 We reproduce exactly that: the search tree is split at a prefix depth into
 ``n_jobs`` (or slightly more) independent subtree jobs; each job's *real*
 node count and tour count come from actually running the backtracking
-search once (cached); processors then pull jobs from the shared queue, and
+search (cached), measured once per symmetry orbit: a board symmetry that
+fixes the start square maps one prefix's subtree onto another's, so both
+have the same counts; processors then pull jobs from the shared queue, and
 the simulated cost per job is its measured node count times the per-node
 work.
 
@@ -74,6 +76,35 @@ def knight_moves(n: int) -> Tuple[Tuple[int, ...], ...]:
                 dests.append(rr * n + cc)
         moves.append(tuple(dests))
     return tuple(moves)
+
+
+@lru_cache(maxsize=None)
+def _stabiliser(n: int, start: int) -> Tuple[Tuple[int, ...], ...]:
+    """The symmetries of the n×n board that fix ``start``, as square maps.
+
+    Each of the board's 8 symmetries maps knight moves to knight moves, so
+    it maps the search subtree below a path prefix onto the subtree below
+    the image prefix: both have the same node and tour counts.  Those that
+    fix the start square map the job frontier onto itself.
+    """
+    last = n - 1
+    maps = []
+    for transpose in (False, True):
+        for flip_rows in (False, True):
+            for flip_cols in (False, True):
+                perm = []
+                for sq in range(n * n):
+                    r, c = divmod(sq, n)
+                    if transpose:
+                        r, c = c, r
+                    if flip_rows:
+                        r = last - r
+                    if flip_cols:
+                        c = last - c
+                    perm.append(r * n + c)
+                if perm[start] == start:
+                    maps.append(tuple(perm))
+    return tuple(maps)
 
 
 class _Search:
@@ -150,7 +181,8 @@ def knights_tour_workload(
     frontier is at least ``n_jobs`` wide (dead prefixes are kept: a real
     work-splitting implementation cannot tell them apart in advance, and
     they are exactly the near-empty jobs that make high job counts pay pure
-    communication cost).
+    communication cost).  Each job keeps its own prefix; the search runs
+    once per orbit of prefixes under the symmetries that fix ``start``.
     """
     if n_jobs < 1:
         raise ApplicationError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -170,12 +202,18 @@ def knights_tour_workload(
         frontier = nxt
 
     search = _Search(board)
+    symmetries = _stabiliser(board, start)
+    measured: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     jobs: List[TourJob] = []
     for path in frontier:
-        search.nodes = 0
-        search.tours = 0
-        search.run_from(path)
-        jobs.append(TourJob(prefix=path, nodes=search.nodes, tours=search.tours))
+        orbit = min(tuple(g[sq] for sq in path) for g in symmetries)
+        counts = measured.get(orbit)
+        if counts is None:
+            search.nodes = 0
+            search.tours = 0
+            search.run_from(path)
+            counts = measured[orbit] = (search.nodes, search.tours)
+        jobs.append(TourJob(prefix=path, nodes=counts[0], tours=counts[1]))
     return KnightsTourWorkload(
         board=board,
         start=start,

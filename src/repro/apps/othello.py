@@ -63,32 +63,131 @@ INF = 10**9
 #: straightforward 1999 C implementation.
 NODE_WORK = Work(iops=2600.0)
 
-_CORNERS = (0, 7, 56, 63)
+# The search runs on bitboards: a position is a pair of 64-bit ints
+# ``(own, opp)``, the discs of the side to move and of its opponent, where
+# bit ``sq`` stands for square ``sq = 8 * row + col``.  The tuple boards of
+# the public API are converted at the boundary.
+_FULL = (1 << 64) - 1
+#: every square off columns 0 and 7: a run of discs going sideways only
+#: continues through these, so a shift never wraps from one row to the next
+_INNER = 0x7E7E7E7E7E7E7E7E
+_CORNERS = (1 << 0) | (1 << 7) | (1 << 56) | (1 << 63)
+#: (shift, mask on the run) for the four lines: E-W, N-S and both diagonals
+_LINES = ((1, _INNER), (8, _FULL), (7, _INNER), (9, _INNER))
 
 
-def _build_rays() -> List[List[Tuple[int, ...]]]:
-    """For each square, the list of ray square-index tuples (8 directions)."""
-    rays: List[List[Tuple[int, ...]]] = []
+def _build_rays() -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """Per square, the ray masks (of 2+ squares) towards higher squares and
+    towards lower squares."""
+    up: List[Tuple[int, ...]] = []
+    down: List[Tuple[int, ...]] = []
     for sq in range(64):
         r, c = divmod(sq, 8)
-        sq_rays = []
+        ups, downs = [], []
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 if dr == 0 and dc == 0:
                     continue
-                ray = []
+                ray, length = 0, 0
                 rr, cc = r + dr, c + dc
                 while 0 <= rr < 8 and 0 <= cc < 8:
-                    ray.append(rr * 8 + cc)
+                    ray |= 1 << (rr * 8 + cc)
+                    length += 1
                     rr += dr
                     cc += dc
-                if len(ray) >= 2:  # need at least opponent+own to flip
-                    sq_rays.append(tuple(ray))
-        rays.append(sq_rays)
-    return rays
+                if length >= 2:  # need at least opponent+own to flip
+                    (ups if 8 * dr + dc > 0 else downs).append(ray)
+        up.append(tuple(ups))
+        down.append(tuple(downs))
+    return tuple(up), tuple(down)
 
 
-_RAYS = _build_rays()
+_UP_RAYS, _DOWN_RAYS = _build_rays()
+
+
+def _moves(own: int, opp: int) -> int:
+    """Mask of the legal squares for the side holding ``own``."""
+    moves = 0
+    for shift, mask in _LINES:
+        run = opp & mask
+        double = shift << 1
+        # Runs of up to six opponent discs next to an own disc, grown one
+        # square, then two at a time through squares whose neighbour is
+        # also on the run; the square past a run is a candidate.
+        pair = run & (run << shift)
+        x = run & (own << shift)
+        x |= run & (x << shift)
+        x |= pair & (x << double)
+        x |= pair & (x << double)
+        moves |= x << shift
+        pair = run & (run >> shift)
+        x = run & (own >> shift)
+        x |= run & (x >> shift)
+        x |= pair & (x >> double)
+        x |= pair & (x >> double)
+        moves |= x >> shift
+    return moves & ~(own | opp) & _FULL
+
+
+def _flips(own: int, opp: int, square: int) -> int:
+    """Mask of the discs flipped by the side holding ``own`` playing the
+    empty ``square`` (0 when the move is illegal)."""
+    flips = 0
+    for ray in _UP_RAYS[square]:
+        # the nearest square not held by the opponent ends the run: going
+        # up that is the lowest one of the ray, going down the highest
+        stop = ray & ~opp
+        stop &= -stop
+        if stop & own:
+            flips |= ray & (stop - 1)
+    for ray in _DOWN_RAYS[square]:
+        stop = ray & ~opp
+        if stop:
+            stop = 1 << (stop.bit_length() - 1)
+            if stop & own:
+                flips |= ray & -(stop << 1)
+    return flips
+
+
+def _play(own: int, opp: int, square: int) -> Tuple[int, int]:
+    """The position after a legal move, seen by the side to move next."""
+    flips = _flips(own, opp, square)
+    return opp ^ flips, own | flips | (1 << square)
+
+
+def _evaluate(own: int, opp: int) -> int:
+    """Material + mobility + corner control for the side holding ``own``."""
+    material = own.bit_count() - opp.bit_count()
+    mobility = _moves(own, opp).bit_count() - _moves(opp, own).bit_count()
+    corners = (own & _CORNERS).bit_count() - (opp & _CORNERS).bit_count()
+    return material + 4 * mobility + 25 * corners
+
+
+def _squares(mask: int) -> List[int]:
+    """The squares of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _to_bitboards(board: Tuple[int, ...], player: int) -> Tuple[int, int]:
+    own = opp = 0
+    for sq, v in enumerate(board):
+        if v == player:
+            own |= 1 << sq
+        elif v == -player:
+            opp |= 1 << sq
+    return own, opp
+
+
+def _to_board(own: int, opp: int, player: int) -> Tuple[int, ...]:
+    return tuple(
+        player if own >> sq & 1 else -player if opp >> sq & 1 else EMPTY
+        for sq in range(64)
+    )
 
 
 def initial_board() -> Tuple[int, ...]:
@@ -104,65 +203,37 @@ def midgame_board() -> Tuple[int, ...]:
 
     Experiments search from here so every depth has a bushy tree.
     """
-    board = initial_board()
+    own, opp = _to_bitboards(initial_board(), BLACK)
     player = BLACK
     # 8 plies of greedy self-play (most flips first, lowest index tiebreak).
     for _ in range(8):
-        moves = legal_moves(board, player)
-        if not moves:
-            player = -player
-            continue
-        best = max(moves, key=lambda m: (len(_flips(board, m, player)), -m))
-        board = apply_move(board, best, player)
+        moves = _squares(_moves(own, opp))
+        if moves:
+            best = max(moves, key=lambda m: (_flips(own, opp, m).bit_count(), -m))
+            own, opp = _play(own, opp, best)
+        else:
+            own, opp = opp, own
         player = -player
-    return board
-
-
-def _flips(board: Tuple[int, ...], square: int, player: int) -> List[int]:
-    """Discs flipped by ``player`` moving at ``square`` (empty = illegal)."""
-    if board[square] != EMPTY:
-        return []
-    opponent = -player
-    flips: List[int] = []
-    for ray in _RAYS[square]:
-        if board[ray[0]] != opponent:
-            continue
-        run = [ray[0]]
-        for pos in ray[1:]:
-            v = board[pos]
-            if v == opponent:
-                run.append(pos)
-            elif v == player:
-                flips.extend(run)
-                break
-            else:
-                break
-    return flips
+    return _to_board(own, opp, player)
 
 
 def legal_moves(board: Tuple[int, ...], player: int) -> List[int]:
     """All legal squares for ``player`` (ascending order: deterministic)."""
-    return [sq for sq in range(64) if board[sq] == EMPTY and _flips(board, sq, player)]
+    return _squares(_moves(*_to_bitboards(board, player)))
 
 
 def apply_move(board: Tuple[int, ...], square: int, player: int) -> Tuple[int, ...]:
-    flips = _flips(board, square, player)
-    if not flips:
+    own, opp = _to_bitboards(board, player)
+    if not 0 <= square < 64 or (own | opp) >> square & 1 or not _flips(own, opp, square):
         raise ApplicationError(f"illegal move {square} for player {player}")
-    new = list(board)
-    new[square] = player
-    for f in flips:
-        new[f] = player
-    return tuple(new)
+    after, mover = _play(own, opp, square)
+    return _to_board(mover, after, player)
 
 
 def evaluate(board: Tuple[int, ...], player: int) -> int:
     """Static evaluation from ``player``'s perspective: material +
     mobility + corner control (a standard lightweight 1999-era heuristic)."""
-    material = sum(board) * player
-    mobility = len(legal_moves(board, player)) - len(legal_moves(board, -player))
-    corners = sum(player * board[c] for c in _CORNERS)
-    return material + 4 * mobility + 25 * corners
+    return _evaluate(*_to_bitboards(board, player))
 
 
 class _Counter:
@@ -172,9 +243,9 @@ class _Counter:
         self.nodes = 0
 
 
-def _alphabeta(
-    board: Tuple[int, ...],
-    player: int,
+def _negamax(
+    own: int,
+    opp: int,
     depth: int,
     alpha: int,
     beta: int,
@@ -183,16 +254,18 @@ def _alphabeta(
 ) -> int:
     counter.nodes += 1
     if depth == 0:
-        return evaluate(board, player)
-    moves = legal_moves(board, player)
+        return _evaluate(own, opp)
+    moves = _moves(own, opp)
     if not moves:
         if passed:  # game over: exact disc difference dominates
-            return 1000 * sum(board) * player
-        return -_alphabeta(board, -player, depth - 1, -beta, -alpha, counter, True)
+            return 1000 * (own.bit_count() - opp.bit_count())
+        return -_negamax(opp, own, depth - 1, -beta, -alpha, counter, True)
     value = -INF
-    for move in moves:
-        child = apply_move(board, move, player)
-        score = -_alphabeta(child, -player, depth - 1, -beta, -alpha, counter)
+    while moves:  # lowest square first: the move order fixes which nodes are cut
+        low = moves & -moves
+        moves ^= low
+        flips = _flips(own, opp, low.bit_length() - 1)
+        score = -_negamax(opp ^ flips, own | flips | low, depth - 1, -beta, -alpha, counter)
         if score > value:
             value = score
         if value > alpha:
@@ -202,15 +275,19 @@ def _alphabeta(
     return value
 
 
+def _alphabeta(own: int, opp: int, depth: int) -> Tuple[int, int]:
+    if depth < 0:
+        raise ApplicationError(f"depth must be >= 0, got {depth}")
+    counter = _Counter()
+    value = _negamax(own, opp, depth, -INF, INF, counter)
+    return value, counter.nodes
+
+
 def alphabeta(
     board: Tuple[int, ...], player: int, depth: int
 ) -> Tuple[int, int]:
     """Full-window alpha-beta search; returns (value, nodes visited)."""
-    if depth < 0:
-        raise ApplicationError(f"depth must be >= 0, got {depth}")
-    counter = _Counter()
-    value = _alphabeta(board, player, depth, -INF, INF, counter)
-    return value, counter.nodes
+    return _alphabeta(*_to_bitboards(board, player), depth)
 
 
 def best_move_seq(
@@ -221,13 +298,13 @@ def best_move_seq(
 
     Returns (best move, value, total nodes).
     """
-    moves = legal_moves(board, player)
+    own, opp = _to_bitboards(board, player)
+    moves = _squares(_moves(own, opp))
     if not moves:
-        return None, evaluate(board, player), 1
+        return None, _evaluate(own, opp), 1
     best_move, best_value, total_nodes = None, -INF, 0
     for move in moves:
-        child = apply_move(board, move, player)
-        value, nodes = alphabeta(child, -player, depth - 1)
+        value, nodes = _alphabeta(*_play(own, opp, move), depth - 1)
         value = -value
         total_nodes += nodes + 1
         if value > best_value:
@@ -265,22 +342,21 @@ def othello_workload(depth: int, use_midgame: bool = True) -> OthelloWorkload:
         raise ApplicationError(f"search depth must be >= 1, got {depth}")
     board = midgame_board() if use_midgame else initial_board()
     player = BLACK
-    moves = legal_moves(board, player)
+    own, opp = _to_bitboards(board, player)
+    moves = _squares(_moves(own, opp))
     jobs: List[_Job] = []
     for m1 in moves:
-        child1 = apply_move(board, m1, player)
+        them, us = _play(own, opp, m1)  # the opponent is to move
         if depth < 2:
-            value, nodes = evaluate(child1, player), 1
-            jobs.append(_Job(m1, -1, value, nodes))
+            jobs.append(_Job(m1, -1, _evaluate(us, them), 1))
             continue
-        replies = legal_moves(child1, -player)
+        replies = _squares(_moves(them, us))
         if not replies:
-            value, nodes = alphabeta(child1, -player, depth - 1)
+            value, nodes = _alphabeta(them, us, depth - 1)
             jobs.append(_Job(m1, -1, -value, nodes + 1))
             continue
         for m2 in replies:
-            child2 = apply_move(child1, m2, -player)
-            value, nodes = alphabeta(child2, player, depth - 2)
+            value, nodes = _alphabeta(*_play(them, us, m2), depth - 2)
             # value is for `player`; job value stored from root perspective
             jobs.append(_Job(m1, m2, value, nodes + 1))
     workload = OthelloWorkload(

@@ -5,6 +5,8 @@ import pytest
 from repro.apps.knights_tour import (
     DEFAULT_BOARD,
     DEFAULT_START,
+    _Search,
+    _stabiliser,
     count_tours_seq,
     knight_moves,
     knights_tour_worker,
@@ -97,6 +99,41 @@ def test_workload_prefixes_unique_and_valid():
 def test_workload_validation():
     with pytest.raises(ApplicationError):
         knights_tour_workload(0)
+
+
+@pytest.mark.parametrize(
+    "board,start",
+    [(4, s) for s in range(16)] + [(5, 0), (5, 2), (5, 12)],
+)
+def test_orbit_measurement_equals_plain_search(board, start):
+    """Each job measured once per symmetry orbit carries exactly what a
+    plain search of its own prefix counts."""
+    search = _Search(board)
+    for n_jobs in (1, 8, 32, 128):
+        for job in knights_tour_workload(n_jobs, board, start).jobs:
+            search.nodes = search.tours = 0
+            search.run_from(job.prefix)
+            assert (job.nodes, job.tours) == (search.nodes, search.tours), job.prefix
+
+
+def test_stabiliser_orders():
+    """The symmetries fixing a 5x5 corner, edge midpoint and centre."""
+    assert [len(_stabiliser(5, s)) for s in (0, 1, 2, 12)] == [2, 1, 2, 8]
+    assert all(len(_stabiliser(4, s)) == 2 for s in (0, 5, 10, 15))
+    assert all(len(_stabiliser(4, s)) == 1 for s in (1, 2, 4, 7))
+
+
+def test_corner_frontier_pairs_up_under_transpose():
+    """5x5 from the corner: the transpose maps the 258 prefixes of 128
+    jobs onto themselves and fixes none, so they take 129 searches."""
+    w = knights_tour_workload(128)
+    assert len(w.jobs) == 258
+    identity, transpose = _stabiliser(DEFAULT_BOARD, DEFAULT_START)
+    assert identity == tuple(range(25))
+    prefixes = {j.prefix for j in w.jobs}
+    images = {p: tuple(transpose[sq] for sq in p) for p in prefixes}
+    assert set(images.values()) == prefixes
+    assert all(image != p for p, image in images.items())
 
 
 # ------------------------------------------------------------- parallel

@@ -58,6 +58,9 @@ def test_illegal_move_rejected():
         apply_move(initial_board(), 0, BLACK)  # corner: no flips
     with pytest.raises(ApplicationError):
         apply_move(initial_board(), 27, BLACK)  # occupied
+    for off_board in (-1, 64):
+        with pytest.raises(ApplicationError):
+            apply_move(initial_board(), off_board, BLACK)
 
 
 def test_moves_are_symmetric_at_start():

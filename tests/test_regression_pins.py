@@ -49,6 +49,9 @@ def test_pin_workload_constants():
     assert len(ow.jobs) == 30
     assert ow.total_nodes == 896
     assert ow.best_value == -43
+    assert [othello_workload(d).total_nodes for d in (3, 5, 6)] == [204, 2775, 12055]
+    ow5 = othello_workload(5)
+    assert (ow5.best_value, ow5.best_move) == (-32, 26)
 
 
 def test_pin_gauss_seidel_point():
