@@ -13,7 +13,28 @@ mechanism:
   ``uniform(0, 2^min(k,10)-1)`` slot times, giving up after
   ``max_attempts`` tries (16, per 802.3).
 
-The model is event-driven and deterministic given the RNG seed.
+The model is event-driven and deterministic given the RNG seed.  One
+arbiter :class:`~repro.sim.core.Timer` per bus drives every idle period;
+its value is the phase that ends when it fires:
+
+* ``open`` — set by the first contender of an idle period, due at once
+  with urgent priority; it arms the window's end.  So the window's end
+  takes its heap sequence number where a process started at the first
+  join would have taken it: after the rest of the joining dispatch and
+  after every urgent event already due.  A contender due at the very
+  instant the window ends makes the window or misses it exactly as it
+  did under such a resolver process, which
+  ``tests/test_network_arbiter_oracle.py`` keeps as its oracle;
+* ``window`` — at its end a lone contender starts transmitting and several
+  start a jam;
+* ``transmit`` — the frame is on the wire; at its end it propagates, the
+  medium goes idle and the winner's grant succeeds;
+* ``jam`` — at its end the medium goes idle and every collided grant
+  succeeds with the collision, in join order.
+
+The winner's grant is the timer callback's last act, so it goes through
+:meth:`~repro.sim.core.Simulator._succeed_last` and is processed in place
+when nothing else is due at that instant.
 """
 
 from __future__ import annotations
@@ -22,7 +43,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tup
 
 from ..errors import NetworkError
 from ..obs.spans import NET_TID, NULL_RECORDER
-from ..sim.core import Event, Simulator
+from ..sim.core import PRIORITY_URGENT, Event, Simulator, Timer
 from ..sim.monitor import StatSet, TimeWeighted
 from ..sim.rng import RandomStreams
 from ..util.units import US
@@ -34,6 +55,12 @@ SEND_OK = "ok"
 SEND_DROPPED = "dropped"
 
 _COLLIDED = "collided"
+
+# Arbiter phases, carried in the arbiter timer's value.
+_OPEN = "open"
+_WINDOW = "window"
+_TRANSMIT = "transmit"
+_JAM = "jam"
 
 
 class EthernetBus:
@@ -66,14 +93,17 @@ class EthernetBus:
         self._stations: Dict[int, Callable[[EthernetFrame], None]] = {}
         self._busy = False
         self._idle_event: Optional[Event] = None
+        #: stations in the open collision window, in join order
         self._contenders: List[Tuple[EthernetFrame, Event]] = []
-        self._resolving = False
+        #: the window's contenders while they transmit or jam
+        self._on_air: List[Tuple[EthernetFrame, Event]] = []
+        #: the one arbitration timer; its value is the phase it ends
+        self._arbiter = Timer(sim, self._on_arbiter, f"{name}.arbiter")
         #: station -> partition group id; None = one unbroken segment
         self._partition: Optional[Dict[int, int]] = None
         #: per-station backoff streams (same objects rng.stream would hand
         #: out — cached to keep the per-frame f-string off the send path)
         self._backoff_streams: Dict[int, Any] = {}
-        self._resolve_name = f"{name}.resolve"
 
         self.stats = StatSet(name)
         # Hot-path counters, resolved once (StatSet.counter is a lazy dict
@@ -171,10 +201,10 @@ class EthernetBus:
                 yield self._wait_idle()
             # Join the contention window for the current idle period.
             grant = Event(self.sim, "grant")
-            self._contenders.append((frame, grant))
-            if not self._resolving:
-                self._resolving = True
-                self.sim.process(self._resolve(), name=self._resolve_name)
+            contenders = self._contenders
+            contenders.append((frame, grant))
+            if len(contenders) == 1:  # the first one opens the window
+                self._arbiter.set(0.0, _OPEN, PRIORITY_URGENT)
             outcome = yield grant
             if outcome == SEND_OK:
                 self._c_frames_sent.increment()
@@ -218,27 +248,38 @@ class EthernetBus:
         if self._idle_event is not None and not self._idle_event.triggered:
             self._idle_event.succeed()
 
-    def _resolve(self) -> Generator[Event, Any, None]:
-        """Arbitrate one idle period: lone contender wins, several collide."""
-        # During the collision window the medium still *looks* idle to other
-        # stations (signal has not propagated), so late joiners pile in here.
-        yield self.sim.timeout(self.collision_window)
-        contenders, self._contenders = self._contenders, []
-        self._resolving = False
-        if not contenders:  # pragma: no cover - resolve only starts with one
+    def _on_arbiter(self, timer: Timer) -> None:
+        """End the arbitration phase in ``timer``'s value.
+
+        An opening arms the window's end; a window's end hands the medium
+        to a lone contender or jams a collision; a transmission's or a
+        jam's end frees the medium and answers the contenders' grants.
+        """
+        phase = timer._value
+        if phase is _OPEN:
+            timer.set(self.collision_window, _WINDOW)
             return
-        if len(contenders) == 1:
-            frame, grant = contenders[0]
+        if phase is _WINDOW:
+            # During the window the medium still *looks* idle to other
+            # stations (the signal has not propagated), so late joiners
+            # piled in; the window's end resolves them all.
+            contenders, self._contenders = self._contenders, []
+            self._on_air = contenders
             self._set_busy()
-            yield self.sim.timeout(self.transmission_time(frame))
+            if len(contenders) == 1:
+                timer.set(self.transmission_time(contenders[0][0]), _TRANSMIT)
+            else:
+                self._c_collisions.increment()
+                self._c_collided_frames.increment(len(contenders))
+                timer.set(self.jam_time, _JAM)
+            return
+        contenders, self._on_air = self._on_air, []
+        if phase is _TRANSMIT:
+            frame, grant = contenders[0]
             self._deliver_after_propagation(frame)
             self._set_idle()
-            grant.succeed(SEND_OK)
+            self.sim._succeed_last(grant, SEND_OK)
         else:
-            self._c_collisions.increment()
-            self._c_collided_frames.increment(len(contenders))
-            self._set_busy()
-            yield self.sim.timeout(self.jam_time)
             self._set_idle()
             for _frame, grant in contenders:
                 grant.succeed(_COLLIDED)

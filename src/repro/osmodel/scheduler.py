@@ -26,22 +26,30 @@ fires — rescan the survivors.  See ``docs/performance.md``.
 Most bursts run alone on an idle CPU (one DSE kernel per machine), so the
 run-queue length picks a *solo-burst path*: an arrival on an idle CPU
 records the job and arms its timer directly, and a timer that finds one
-job due finishes it without ``_advance``, the rescan or ``_reschedule``.
-It is bit-identical to the general path, which it only shortcuts: with one
+job due finishes it without the general path's advance, rescan and
+re-arm.  It is bit-identical to the general path, which it only shortcuts: with one
 job the rate is exactly 1.0, so the delay ``x / 1.0 == x`` and the progress
 ``dt * 1.0 == dt``; the one job's remaining *is* ``_shortest`` and is
-clamped at 0.0 the same way; the run-queue and busy integrals get the same
-updates at the same times; and no event or heap sequence number is
-added or removed — the completion event stays separate from the timer.
+clamped at 0.0 the same way; and the run-queue and busy integrals get the
+same updates at the same times.  The completion event stays separate from
+the timer, so it keeps its place in the order of events at one instant.
 A second arrival finds the solo job in ``_jobs`` and takes the general
 path unchanged.
 
-The general path keeps the same arithmetic in fewer Python calls: a
-departure makes one pass over the jobs (subtract, clamp, collect the
-finished ones, take the survivors' minimum), a level change updates the
-run-queue and busy integrals with one ``TimeWeighted.set_with``, and the
-CPU's one :class:`~repro.sim.core.Timer` is set in place: exactly a cancel
-+ ``sim.timeout`` in heap slots, sequence numbers and cancel counts.
+On either path, a timer that finishes exactly one burst succeeds its
+completion event as its last act through
+:meth:`~repro.sim.core.Simulator._succeed_last`: when nothing else is due
+at that instant, the event is processed in place, with no heap slot,
+exactly where the queue would have dispatched it next.  Several bursts
+finishing together are succeeded in insertion order through the queue.
+
+The general path keeps the same arithmetic in few Python calls: an
+arrival advances the resident jobs inline, a departure makes one pass
+over the jobs (subtract, clamp, collect the finished ones, take the
+survivors' minimum), and both end in one ``_rearm``, which updates the
+run-queue and busy integrals with one ``TimeWeighted.set_with`` and sets
+the CPU's one :class:`~repro.sim.core.Timer` in place: exactly a cancel +
+``sim.timeout`` in heap slots, sequence numbers and cancel counts.
 """
 
 from __future__ import annotations
@@ -147,37 +155,38 @@ class ProcessorSharingCPU:
             self._epoch = epoch = self._epoch + 1
             self._timer.set(demand_seconds, epoch)
             return event
-        self._advance()
+        # General path: advance every resident job to now (the same
+        # subtraction and clamp for each job and for the cached minimum),
+        # admit the new job and re-arm the one timer for the new minimum.
+        # Same subtraction, same bits: the minimum stays the minimum.
+        now = sim.now
+        n = len(jobs)
+        dt = now - self._last
+        self._last = now
+        shortest = self._shortest
+        if dt > 0:
+            progressed = dt * self.rate(n)
+            for job in jobs.values():
+                remaining = job.remaining - progressed
+                if remaining < 0:
+                    remaining = 0.0
+                job.remaining = remaining
+            shortest -= progressed
+            if shortest < 0:
+                shortest = 0.0
         jobs[job_id] = _Job(event, demand_seconds)
-        if demand_seconds < self._shortest:
-            self._shortest = demand_seconds
-        self._note_queue()
-        self._reschedule()
+        if demand_seconds < shortest:
+            shortest = demand_seconds
+        self._rearm(shortest, now)
         return event
 
     # -- internals ------------------------------------------------------------
-    def _note_queue(self) -> None:
+    def _rearm(self, shortest: float, now: float) -> None:
+        """Record the run queue after an arrival or departure and re-arm
+        the timer for ``shortest`` at the new rate (none when idle)."""
+        self._shortest = shortest
         n = len(self._jobs)
-        self.run_queue.set_with(n, self.busy, 1.0 if n else 0.0, self.sim.now)
-
-    def _advance(self) -> None:
-        now = self.sim.now
-        dt = now - self._last
-        self._last = now
-        if dt <= 0 or not self._jobs:
-            return
-        r = self.rate(len(self._jobs))
-        progressed = dt * r
-        for job in self._jobs.values():
-            job.remaining -= progressed
-            if job.remaining < 0:
-                job.remaining = 0.0
-        # Same subtraction, same bits: the minimum stays the minimum.
-        self._shortest -= progressed
-        if self._shortest < 0:
-            self._shortest = 0.0
-
-    def _reschedule(self) -> None:
+        self.run_queue.set_with(n, self.busy, 1.0 if n else 0.0, now)
         self._epoch = epoch = self._epoch + 1
         # The superseded timer never reaches the event queue's dispatch:
         # with hundreds of co-located kernels, arrival and departure rates
@@ -185,13 +194,11 @@ class ProcessorSharingCPU:
         # Timer.set moves a pending timer exactly as cancel + sim.timeout
         # would in heap slots, sequence numbers and events_cancelled.  The
         # epoch guard stays as a second line of defence (a timer firing in
-        # the same timestep cannot be cancelled).
-        jobs = self._jobs
-        if not jobs:
-            self._timer.clear()
-            self._shortest = _INF
-            return
-        self._timer.set(self._shortest / self.rate(len(jobs)), epoch)
+        # the same timestep cannot be cancelled).  An idle CPU holds no
+        # timer: only a departure empties the CPU, and it runs in the
+        # timer's own firing, so nothing is left to clear.
+        if n:
+            self._timer.set(shortest / self.rate(n), epoch)
 
     def _on_timer(self, event: Event) -> None:
         if event._value != self._epoch:
@@ -200,23 +207,23 @@ class ProcessorSharingCPU:
         if len(jobs) == 1:
             now = self.sim.now
             # The solo job's remaining is _shortest and now >= _last, so
-            # this is _advance's subtraction (the clamp cannot change the
-            # test).  A solo job not yet due takes the general path.  An
-            # idle CPU holds no timer, and the next arrival resets _last,
-            # so neither needs the general path's epoch bump or _last.
+            # this is the general path's subtraction (the clamp cannot
+            # change the test).  A solo job not yet due takes the general
+            # path.  An idle CPU holds no timer, and the next arrival resets
+            # _last, so neither needs the general path's epoch bump or _last.
             if self._shortest - (now - self._last) <= _EPS:
                 job = jobs.popitem()[1]
                 self._c_completed.increment()
                 self._shortest = _INF
                 self.run_queue.set_with(0, self.busy, 0.0, now)
-                job.event.succeed()
+                self.sim._succeed_last(job.event)
                 return
-        # One pass does _advance's subtraction and clamp, picks out the
-        # finished jobs in insertion order and rescans the survivors'
+        # One pass does the arrival path's subtraction and clamp, picks out
+        # the finished jobs in insertion order and rescans the survivors'
         # minimum (departures are the one place the cached minimum must be
         # rescanned).  A timer only fires while jobs run and time never
         # runs backwards, so dt >= 0, and for dt == 0 the progress is 0.0,
-        # which subtracts to the same bits _advance would have left alone.
+        # which subtracts to the same bits an arrival would have left alone.
         now = self.sim.now
         progressed = (now - self._last) * self.rate(len(jobs))
         self._last = now
@@ -231,13 +238,13 @@ class ProcessorSharingCPU:
                 finished.append(jid)
             elif remaining < shortest:
                 shortest = remaining
-        events = []
-        for jid in finished:
-            events.append(jobs.pop(jid).event)
-            self._c_completed.increment()
-        self._shortest = shortest
-        self._note_queue()
-        self._reschedule()
+        events = [jobs.pop(jid).event for jid in finished]
+        if events:
+            self._c_completed.increment(len(events))
+        self._rearm(shortest, now)
+        if len(events) == 1:
+            self.sim._succeed_last(events[0])
+            return
         for event in events:
             event.succeed()
 

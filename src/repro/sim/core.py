@@ -38,6 +38,10 @@ this loop, so the engine has a deliberate fast path (benchmarked with
   place, with no ``Initialize`` event, and processes its end in place when
   nothing waits on it (the DSE kernel starts one request handler per
   request this way); :meth:`Simulator.process` keeps both events;
+* an event succeeded as the last act of an event callback goes through
+  :meth:`Simulator._succeed_last`, which processes it in place when
+  :meth:`Simulator.run` would pop it next anyway (the processor-sharing
+  CPU's burst completions and the Ethernet bus's grants);
 * ``Simulator.now`` is a plain attribute, not a property, because the hot
   layers read the clock on every message hop;
 * :meth:`Simulator.run` drives the heap with locally bound ``heappop``,
@@ -76,6 +80,8 @@ _PENDING = object()
 
 #: cap on recycled Timeout objects kept per simulator
 _TIMEOUT_POOL_MAX = 256
+
+_INF = float("inf")
 
 
 class Interrupt(Exception):
@@ -239,8 +245,10 @@ class Timer(Event):
 
     :meth:`set` is exactly a cancel of the pending firing, if any, plus a
     new :meth:`Simulator.timeout`: same heap slots, sequence numbers and
-    ``events_cancelled``.  :meth:`clear` cancels and never pools the
-    object.  Nothing but the owner's callback may wait on a timer.
+    ``events_cancelled``; ``priority`` orders the firing among events due
+    at the same time, as in :meth:`Event.succeed`.  :meth:`clear` cancels
+    and never pools the object.  Nothing but the owner's callback may wait
+    on a timer.
     """
 
     __slots__ = ("_armed",)
@@ -256,7 +264,7 @@ class Timer(Event):
         #: the one callback list every set re-registers; the run loop never mutates it
         self._armed = [callback]
 
-    def set(self, delay: float, value: Any = None) -> None:
+    def set(self, delay: float, value: Any = None, priority: int = PRIORITY_NORMAL) -> None:
         """Fire ``delay`` from now with ``value``, moving a pending firing."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -268,7 +276,7 @@ class Timer(Event):
         self._value = value
         self.callbacks = self._armed
         sim._seq = seq = sim._seq + 1
-        self._entry = entry = [sim.now + delay, PRIORITY_NORMAL, seq, self]
+        self._entry = entry = [sim.now + delay, priority, seq, self]
         heappush(sim._queue, entry)
 
     clear = Event.cancel
@@ -281,8 +289,8 @@ class Initialize(Event):
 
     def __init__(self, sim: "Simulator", process: "Process"):
         # Inlined Event.__init__ + _schedule: one Initialize per process
-        # spawn, and short-lived resolver/worker processes are spawned in
-        # bulk on the contention and churn hot paths.
+        # spawn, and short-lived worker processes are spawned in bulk on
+        # the churn hot paths.
         self.sim = sim
         self.name = "init"
         self.callbacks = [process._resume_cb]
@@ -509,8 +517,12 @@ class Simulator:
         #: recycled cancelled Timeouts awaiting re-arming (see Timeout.cancel)
         self._timeout_pool: list = []
         self._active_process: Optional[Process] = None
-        #: number of events processed so far (diagnostics / budget guards)
+        #: number of events processed so far (diagnostics / budget guards),
+        #: counting those :meth:`_succeed_last` processes in place
         self.events_processed = 0
+        #: while :meth:`run` dispatches: its stop event (or None) and its
+        #: ``events_processed`` budget; None otherwise (see _succeed_last)
+        self._run_guard: Optional[tuple] = None
         #: number of events lazily cancelled and never dispatched
         self.events_cancelled = 0
 
@@ -591,6 +603,46 @@ class Simulator:
         event._entry = entry = [self.now + delay, priority, seq, event]
         heappush(self._queue, entry)
 
+    def _succeed_last(self, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` as the last act of the event callback running now.
+
+        The caller guarantees the *last act*: its callback is the only one
+        of the event being dispatched, and it returns right after this call.
+        While :meth:`run` dispatches and no live queue entry is due at
+        ``now``, the event is processed in place: its callbacks run inside
+        this call and it counts in :attr:`events_processed`, but it takes
+        no sequence number and no heap slot.  Scheduled instead, it would
+        take the largest sequence number at ``now`` and so be popped next
+        anyway: every callback runs in the same order either way.  Under
+        :meth:`step`, with an entry due at ``now``, or when :meth:`run`
+        would stop before its next event (its stop event was just
+        processed, or its ``max_events`` budget is spent), this is
+        :meth:`Event.succeed`.
+        """
+        guard = self._run_guard
+        if guard is not None:
+            stop, limit = guard
+            queue = self._queue
+            while queue and queue[0][3] is None:
+                heappop(queue)
+            if (
+                not (queue and queue[0][0] <= self.now)
+                and self.events_processed < limit
+                and (stop is None or stop.callbacks is not None)
+            ):
+                if event._value is not _PENDING:
+                    raise RuntimeError(f"{event!r} has already been triggered")
+                event._ok = True
+                event._value = value
+                event._scheduled = True
+                callbacks = event.callbacks
+                event.callbacks = None
+                self.events_processed += 1
+                for callback in callbacks:
+                    callback(event)
+                return
+        event.succeed(value)
+
     def _drop_cancelled_head(self) -> None:
         """Pop lazily cancelled entries off the head of the queue.
 
@@ -626,7 +678,12 @@ class Simulator:
         ]
 
     def step(self) -> None:
-        """Process exactly one (non-cancelled) event."""
+        """Process exactly one (non-cancelled) event.
+
+        Never processes a second one in place: :meth:`_succeed_last` falls
+        back to :meth:`Event.succeed` outside :meth:`run`, so a loop of
+        steps sees every event in its own step.
+        """
         self._drop_cancelled_head()
         entry = heappop(self._queue)
         when = entry[0]
@@ -651,7 +708,9 @@ class Simulator:
         time) or an :class:`Event` (run until it is processed; returns its
         value).  ``max_events`` bounds total events processed as a runaway
         guard.  Lazily cancelled events are skipped without dispatch and
-        show up in :attr:`events_cancelled` only.
+        show up in :attr:`events_cancelled` only.  Events that
+        :meth:`_succeed_last` processes in place run in the order a loop of
+        :meth:`step` calls would give them.
         """
         stop_event: Optional[Event] = None
         deadline = float("inf")
@@ -672,42 +731,50 @@ class Simulator:
         # skips the callback for-loop entirely.
         queue = self._queue
         pop = heappop
-        while queue:
-            entry = queue[0]
-            if entry[3] is None:  # lazily cancelled: shared helper drops it
-                self._drop_cancelled_head()
-                continue
-            when = entry[0]
-            if when > deadline:
+        # _succeed_last may process an event in place only while this loop
+        # runs; it reads the stop event and the budget from the guard, so
+        # the loop itself does no per-event work for it.
+        outer_guard = self._run_guard
+        self._run_guard = (stop_event, _INF if processed_limit is None else processed_limit)
+        try:
+            while queue:
+                entry = queue[0]
+                if entry[3] is None:  # lazily cancelled: shared helper drops it
+                    self._drop_cancelled_head()
+                    continue
+                when = entry[0]
+                if when > deadline:
+                    self.now = deadline
+                    return None
+                if processed_limit is not None and self.events_processed >= processed_limit:
+                    raise RuntimeError(f"simulation exceeded max_events={max_events}")
+                pop(queue)
+                event = entry[3]
+                self.now = when
+                event._entry = None
+                callbacks = event.callbacks
+                event.callbacks = None
+                self.events_processed += 1
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    for callback in callbacks:
+                        callback(event)
+                elif not event._ok and isinstance(event._value, BaseException):
+                    raise event._value
+                if stop_event is not None and stop_event.callbacks is None:
+                    if stop_event._ok:
+                        return stop_event.value
+                    raise stop_event.value  # type: ignore[misc]
+            if stop_event is not None and not stop_event.processed:
+                raise RuntimeError(
+                    f"simulation queue drained before {stop_event!r} triggered (deadlock?)"
+                )
+            if deadline != float("inf"):
                 self.now = deadline
-                return None
-            if processed_limit is not None and self.events_processed >= processed_limit:
-                raise RuntimeError(f"simulation exceeded max_events={max_events}")
-            pop(queue)
-            event = entry[3]
-            self.now = when
-            event._entry = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            self.events_processed += 1
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            elif callbacks:
-                for callback in callbacks:
-                    callback(event)
-            elif not event._ok and isinstance(event._value, BaseException):
-                raise event._value
-            if stop_event is not None and stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event.value
-                raise stop_event.value  # type: ignore[misc]
-        if stop_event is not None and not stop_event.processed:
-            raise RuntimeError(
-                f"simulation queue drained before {stop_event!r} triggered (deadlock?)"
-            )
-        if deadline != float("inf"):
-            self.now = deadline
-        return None
+            return None
+        finally:
+            self._run_guard = outer_guard
 
     def run_all(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is completely drained."""

@@ -1,22 +1,38 @@
-"""CI keeps running the paper's figure and table benchmarks.
+"""CI keeps running the benchmark files.
 
-Each ``benchmarks/bench_fig*.py`` and ``benchmarks/bench_table*.py`` holds
-the paper-shape checks of one figure group; a file no CI job names is an
-assertion nobody re-executes.
+Each ``benchmarks/bench_*.py`` file asserts something about the
+reproduction: the paper-shape checks of one figure group, an ablation's
+ordering, an extension's claim or an overhead bound.  A file no CI job
+names is an assertion nobody re-executes.
 """
 
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: benchmark files CI does not run yet, each with the reason
+NOT_IN_CI = {
+    "benchmarks/bench_future_fast_network.py": (
+        "its `fast > 2.5` speed-up bound predates the Gauss-Seidel gather "
+        "barrier and reads 2.4813; it waits for a bound derived from a "
+        "stated calculation, not a loosened one"
+    ),
+}
 
-def test_every_figure_and_table_bench_runs_in_ci():
+
+def test_every_bench_file_runs_in_ci():
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     benches = sorted(
-        p.relative_to(ROOT).as_posix()
-        for pattern in ("bench_fig*.py", "bench_table*.py")
-        for p in (ROOT / "benchmarks").glob(pattern)
+        p.relative_to(ROOT).as_posix() for p in (ROOT / "benchmarks").glob("bench_*.py")
     )
-    assert benches, "no figure benchmarks found"
-    missing = [b for b in benches if b not in workflow]
+    assert benches, "no benchmark files found"
+    missing = [b for b in benches if b not in workflow and b not in NOT_IN_CI]
     assert not missing, f"benchmarks no CI job runs: {missing}"
+
+
+def test_exceptions_are_real_and_still_out_of_ci():
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    for bench, reason in NOT_IN_CI.items():
+        assert (ROOT / bench).exists(), bench
+        assert bench not in workflow, f"{bench} runs in CI now; drop its exception"
+        assert reason

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from repro.osmodel import ProcessorSharingCPU
-from repro.sim import PRIORITY_URGENT, Resource, Simulator, Store
+from repro.sim import PRIORITY_URGENT, Event, Resource, Simulator, Store
 from repro.sim.monitor import StatSet, TimeWeighted
 
 
@@ -390,3 +390,107 @@ def test_solo_burst_path_matches_general_ps_bit_for_bit(arrivals, context_switch
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_solo_burst_conversion_cases_are_reached(case):
     assert case in _assert_bit_identical(_CASES[case], 25e-6)
+
+
+# -- in-place dispatch of a callback's last-act trigger ------------------------
+#: what a firing callback does before its last act
+_ACTIONS = st.sampled_from(["normal", "urgent", "timeout-0", "timeout-1", "cancelled"])
+
+_FIRING = st.fixed_dictionaries({
+    "delay": st.sampled_from([0.0, 1.0, 2.0]),
+    "actions": st.lists(_ACTIONS, max_size=3),
+    # waiters of the triggered event: a plain callback, or a process that
+    # may go on to sleep ``then`` more
+    "waiters": st.lists(st.sampled_from(["callback", "process"]), max_size=2),
+    "then": st.sampled_from([None, 0.0, 1.0]),
+})
+
+
+def _build_last_act_scenario(sim, firings, trace):
+    """Timeouts whose one callback ends in ``sim._succeed_last``; returns
+    the events they trigger, then the timeouts themselves."""
+    triggered = [Event(sim, f"e{i}") for i in range(len(firings))]
+    firing = []
+
+    def note(label):
+        trace.append((label, sim.now))
+
+    def fire(i, spec):
+        def on_fire(_ev):
+            note(f"fire{i}")
+            for k, action in enumerate(spec["actions"]):
+                tag = f"{i}.{k}"
+                if action == "normal":
+                    ev = Event(sim)
+                    ev.callbacks.append(lambda _e, tag=tag: note(f"normal{tag}"))
+                    ev.succeed()
+                elif action == "urgent":
+                    ev = Event(sim)
+                    ev.callbacks.append(lambda _e, tag=tag: note(f"urgent{tag}"))
+                    ev.succeed(priority=PRIORITY_URGENT)
+                elif action.startswith("timeout"):
+                    t = sim.timeout(float(action[-1]))
+                    t.callbacks.append(lambda _e, tag=tag: note(f"timeout{tag}"))
+                else:  # a cancelled entry, left in the heap at now
+                    sim.timeout(0.0).cancel()
+            sim._succeed_last(triggered[i], i)
+
+        return on_fire
+
+    def waiter_proc(i, then):
+        value = yield triggered[i]
+        note(f"proc{i}:{value}")
+        if then is not None:
+            yield sim.timeout(then)
+            note(f"proc{i}:after")
+
+    for i, spec in enumerate(firings):
+        for w in spec["waiters"]:
+            if w == "callback":
+                triggered[i].callbacks.append(lambda e, i=i: note(f"cb{i}:{e.value}"))
+            else:
+                sim.process(waiter_proc(i, spec["then"]))
+        t = sim.timeout(spec["delay"])
+        t.callbacks.append(fire(i, spec))
+        firing.append(t)
+    return triggered + firing
+
+
+@given(
+    firings=st.lists(_FIRING, min_size=1, max_size=6),
+    stop=st.one_of(st.none(), st.integers(min_value=0, max_value=11)),
+)
+@settings(max_examples=300, deadline=None)
+def test_last_act_trigger_in_run_matches_a_step_loop(firings, stop):
+    """Under run(), a last-act trigger may be processed in place; the
+    callback trace and events_processed must equal a step() loop's, which
+    schedules every event.  ``run(until=...)`` stops at a triggered event
+    or at the timeout that fired it."""
+
+    def play(drive):
+        sim = Simulator()
+        trace = []
+        events = _build_last_act_scenario(sim, firings, trace)
+        stop_event = events[stop] if stop is not None and stop < len(events) else None
+        drive(sim, stop_event)
+        done = stop_event is None or stop_event.processed
+        return trace, sim.events_processed, sim.now, done, sim._seq
+
+    def by_run(sim, stop_event):
+        if stop_event is None:
+            sim.run()
+        else:
+            sim.run(until=stop_event)
+
+    def by_steps(sim, stop_event):
+        while not (stop_event is not None and stop_event.processed):
+            if sim.peek() == float("inf"):
+                break
+            sim.step()
+
+    trace, processed, now, done, seq = play(by_run)
+    ref_trace, ref_processed, ref_now, ref_done, ref_seq = play(by_steps)
+    assert trace == ref_trace
+    assert processed == ref_processed
+    assert now == ref_now and done == ref_done
+    event("in place" if seq < ref_seq else "all scheduled")

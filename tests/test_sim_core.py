@@ -446,3 +446,60 @@ def test_start_failure_surfaces_out_of_run(suspend):
     assert proc.is_alive is suspend
     with pytest.raises(ValueError, match="boom"):
         sim.run_all()
+
+
+def _last_act_trigger(sim, delay=1.0):
+    """A timeout whose one callback ends by succeeding a fresh event."""
+    target = sim.event()
+    seen = []
+    target.callbacks.append(lambda ev: seen.append((ev.value, sim.now)))
+    fire = sim.timeout(delay)
+    fire.callbacks.append(lambda _ev: sim._succeed_last(target, "done"))
+    return target, seen
+
+
+def test_last_act_trigger_runs_in_place_under_run():
+    sim = Simulator()
+    target, seen = _last_act_trigger(sim)
+    sim.run()
+    assert seen == [("done", 1.0)]
+    assert target.processed
+    assert sim.events_processed == 2  # counted, though never queued
+    assert sim._seq == 1  # only the timeout took a sequence number
+
+
+def test_last_act_trigger_is_scheduled_behind_an_entry_due_now():
+    sim = Simulator()
+    order = []
+    target, seen = _last_act_trigger(sim)
+    target.callbacks.append(lambda _ev: order.append("target"))
+    other = sim.timeout(1.0)
+    other.callbacks.append(lambda _ev: order.append("other"))
+    sim.run()
+    assert order == ["other", "target"]
+    assert sim._seq == 3 and sim.events_processed == 3
+
+
+def test_last_act_trigger_is_scheduled_under_step():
+    sim = Simulator()
+    target, seen = _last_act_trigger(sim)
+    sim.step()
+    assert not target.processed and seen == []
+    sim.step()
+    assert seen == [("done", 1.0)]
+
+
+def test_last_act_trigger_respects_run_stop_and_budget():
+    sim = Simulator()
+    target, seen = _last_act_trigger(sim)
+    fire = sim._queue[0][3]
+    sim.run(until=fire)  # stops after the timeout, as a step loop would
+    assert seen == [] and not target.processed
+    sim.run()
+    assert seen == [("done", 1.0)]
+
+    sim = Simulator()
+    target, seen = _last_act_trigger(sim)
+    with pytest.raises(RuntimeError, match="max_events=1"):
+        sim.run(max_events=1)
+    assert seen == [] and sim.events_processed == 1
