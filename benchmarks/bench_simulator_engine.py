@@ -60,14 +60,15 @@ def test_bus_contention_throughput(benchmark):
         for i in range(8):
             bus.attach(i, lambda f: None)
 
-        def chatter(src):
-            for k in range(100):
-                yield from bus.send(
-                    EthernetFrame(src=src, dst=(src + 1) % 8, payload=k, payload_bytes=128)
+        def chatter(src, k=0):
+            if k < 100:
+                bus.transmit(
+                    EthernetFrame(src=src, dst=(src + 1) % 8, payload=k, payload_bytes=128),
+                    lambda _status: chatter(src, k + 1),
                 )
 
         for i in range(8):
-            sim.process(chatter(i))
+            chatter(i)
         sim.run_all()
         return bus.stats.counter("frames_sent").value
 

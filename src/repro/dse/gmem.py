@@ -98,8 +98,9 @@ class GlobalMemoryManager:
         )
         #: write-combining buffers: home kernel -> [(start, words), ...]
         self._wc: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        #: read-combining table: (start, count) -> in-flight marker event
-        self._read_inflight: Dict[Tuple[int, int], Event] = {}
+        #: read-combining table: (start, count) -> the in-flight leader's
+        #: one-item slot for its marker event (None until a follower joins)
+        self._read_inflight: Dict[Tuple[int, int], List[Optional[Event]]] = {}
         #: race detector (None unless ``ClusterConfig(sanitize=...)`` asked
         #: for it) — the disabled path is one attribute load + identity test
         from ..sanitize import NULL_SANITIZER
@@ -251,18 +252,25 @@ class GlobalMemoryManager:
 
         The first reader of a ``(start, count)`` range becomes the leader
         and sends the wire message; readers that arrive while it is in
-        flight wait on the leader's marker and share the response.
+        flight wait on the leader's marker and share the response.  The
+        marker is built by the first of them, so a read nobody joins
+        schedules no event.
         """
         key = (start, count)
-        pending = self._read_inflight.get(key)
-        if pending is not None:
+        inflight = self._read_inflight
+        slot = inflight.get(key)
+        if slot is not None:
             self.stats.counter("combined_reads").increment()
-            status, data = yield pending
+            marker = slot[0]
+            if marker is None:
+                marker = slot[0] = self.kernel.sim.event(name=f"gmrd:{start}+{count}")
+            status, data = yield marker
             if status != "ok":
                 raise GlobalMemoryError(f"remote read failed: {status}")
             return data
-        marker = self.kernel.sim.event(name=f"gmrd:{start}+{count}")
-        self._read_inflight[key] = marker
+        # The leader's slot holds the marker once a follower joins; a read
+        # nobody joins builds and schedules no event.
+        slot = inflight[key] = [None]
         status, data = "error", None
         try:
             data = yield from self._remote_read(home, start, count, trace)
@@ -271,8 +279,9 @@ class GlobalMemoryManager:
         finally:
             # pop (not del): a crash teardown may clear the table while the
             # leader is in flight, and this finally also runs on kill
-            self._read_inflight.pop(key, None)
-            if not marker.triggered:
+            inflight.pop(key, None)
+            marker = slot[0]
+            if marker is not None and not marker.triggered:
                 marker.succeed((status, data))
 
     def write(

@@ -13,7 +13,12 @@ mechanism:
   ``uniform(0, 2^min(k,10)-1)`` slot times, giving up after
   ``max_attempts`` tries (16, per 802.3).
 
-The model is event-driven and deterministic given the RNG seed.  One
+The model is event-driven and deterministic given the RNG seed.  A frame
+is sent by callbacks, with no process: :meth:`EthernetBus.transmit` starts
+one small :class:`_Sending` state object per frame, whose carrier sense
+waits on the bus's idle event, whose join takes a grant event, and whose
+backoff waits on a timeout; ``done(status)`` runs once the frame is on the
+wire or dropped.  One
 arbiter :class:`~repro.sim.core.Timer` per bus drives every idle period;
 its value is the phase that ends when it fires:
 
@@ -34,12 +39,13 @@ its value is the phase that ends when it fires:
 
 The winner's grant is the timer callback's last act, so it goes through
 :meth:`~repro.sim.core.Simulator._succeed_last` and is processed in place
-when nothing else is due at that instant.
+when nothing else is due at that instant: the sender's completion, and the
+next frame it hands the bus, then run inside the arbiter's dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..obs.spans import NET_TID, NULL_RECORDER
@@ -116,6 +122,8 @@ class EthernetBus:
         self._c_frames_delivered = self.stats.counter("frames_delivered")
         self.utilization = TimeWeighted(f"{name}.util", start_time=sim.now)
         self.obs = getattr(sim, "obs", None) or NULL_RECORDER
+        #: the propagation timers' callback, bound once
+        self._deliver_cb = self._deliver
 
     # -- station management ---------------------------------------------
     def attach(self, station_id: int, deliver: Callable[[EthernetFrame], None]) -> None:
@@ -175,12 +183,10 @@ class EthernetBus:
         # bits() inlined (int * 8): identical value, one call fewer per frame.
         return frame.wire_bytes * 8 / self.rate_bps
 
-    def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
-        """Transmit ``frame``; completes when it is on the wire (or dropped).
-
-        A generator to be driven from the sending station's process:
-        ``status = yield from bus.send(frame)``.
-        """
+    def transmit(self, frame: EthernetFrame, done: Callable[[str], None]) -> None:
+        """Send ``frame``; ``done(status)`` runs once it is on the wire
+        (:data:`SEND_OK`) or dropped after ``max_attempts`` collisions
+        (:data:`SEND_DROPPED`), never inside this call."""
         if frame.src not in self._stations:
             raise NetworkError(f"source station {frame.src} is not attached to {self.name}")
         if frame.dst != BROADCAST and frame.dst not in self._stations:
@@ -194,42 +200,7 @@ class EthernetBus:
             span = self.obs.begin(
                 self.sim.now, "eth.tx", "net", frame.src, NET_TID, frame.trace
             )
-        attempts = 0
-        while True:
-            # Carrier sense: defer while the medium is busy.
-            while self._busy:
-                yield self._wait_idle()
-            # Join the contention window for the current idle period.
-            grant = Event(self.sim, "grant")
-            contenders = self._contenders
-            contenders.append((frame, grant))
-            if len(contenders) == 1:  # the first one opens the window
-                self._arbiter.set(0.0, _OPEN, PRIORITY_URGENT)
-            outcome = yield grant
-            if outcome == SEND_OK:
-                self._c_frames_sent.increment()
-                self._c_bytes_sent.increment(frame.wire_bytes)
-                if span is not None:
-                    span.args = {"attempts": attempts + 1}
-                    self.obs.end(span, self.sim.now)
-                return SEND_OK
-            # Collision: back off a random number of slot times.
-            attempts += 1
-            self._c_backoffs.increment()
-            if span is not None:
-                self.obs.instant(
-                    self.sim.now, "eth.collision", "net", frame.src, NET_TID, span.ctx
-                )
-            if attempts >= self.max_attempts:
-                self.stats.counter("frames_dropped").increment()
-                if span is not None:
-                    span.args = {"attempts": attempts, "dropped": True}
-                    self.obs.end(span, self.sim.now)
-                return SEND_DROPPED
-            k = min(attempts, 10)
-            slots = backoff_rng.randrange(2**k)
-            if slots:
-                yield self.sim.timeout(slots * self.slot_time)
+        _Sending(self, frame, done, backoff_rng, span).sense()
 
     # -- internals --------------------------------------------------------
     def _wait_idle(self) -> Event:
@@ -295,10 +266,10 @@ class EthernetBus:
             # cannot appear after a heal.
             self.stats.counter("partition_drops").increment()
             return
-        timer = self.sim.timeout(self.prop_delay)
-        timer.callbacks.append(lambda _ev: self._deliver(frame))
+        self.sim.timeout(self.prop_delay, frame).callbacks.append(self._deliver_cb)
 
-    def _deliver(self, frame: EthernetFrame) -> None:
+    def _deliver(self, timer: Event) -> None:
+        frame = timer._value
         if self._partition is None:
             # Default (unpartitioned) path: unchanged from the baseline.
             self._c_frames_delivered.increment()
@@ -333,3 +304,64 @@ class EthernetBus:
         if sent == 0:
             return 0.0
         return self.stats.counter("collisions").value / sent
+
+
+class _Sending:
+    """One frame's CSMA/CD attempts on a bus: carrier sense, a grant per
+    contention window, binary exponential backoff after a collision."""
+
+    __slots__ = ("bus", "frame", "done", "backoff_rng", "span", "attempts")
+
+    def __init__(self, bus: EthernetBus, frame: EthernetFrame,
+                 done: Callable[[str], None], backoff_rng: Any, span: Any):
+        self.bus = bus
+        self.frame = frame
+        self.done = done
+        self.backoff_rng = backoff_rng
+        self.span = span
+        self.attempts = 0
+
+    def sense(self, _event: Optional[Event] = None) -> None:
+        """Defer while the medium is busy, else join the contention window."""
+        bus = self.bus
+        if bus._busy:
+            bus._wait_idle().callbacks.append(self.sense)
+            return
+        grant = Event(bus.sim, "grant")
+        grant.callbacks.append(self._granted)
+        contenders = bus._contenders
+        contenders.append((self.frame, grant))
+        if len(contenders) == 1:  # the first one opens the window
+            bus._arbiter.set(0.0, _OPEN, PRIORITY_URGENT)
+
+    def _granted(self, grant: Event) -> None:
+        bus = self.bus
+        frame = self.frame
+        span = self.span
+        if grant._value == SEND_OK:
+            bus._c_frames_sent.increment()
+            bus._c_bytes_sent.increment(frame.wire_bytes)
+            if span is not None:
+                span.args = {"attempts": self.attempts + 1}
+                bus.obs.end(span, bus.sim.now)
+            self.done(SEND_OK)
+            return
+        # Collision: back off a random number of slot times.
+        self.attempts = attempts = self.attempts + 1
+        bus._c_backoffs.increment()
+        if span is not None:
+            bus.obs.instant(
+                bus.sim.now, "eth.collision", "net", frame.src, NET_TID, span.ctx
+            )
+        if attempts >= bus.max_attempts:
+            bus.stats.counter("frames_dropped").increment()
+            if span is not None:
+                span.args = {"attempts": attempts, "dropped": True}
+                bus.obs.end(span, bus.sim.now)
+            self.done(SEND_DROPPED)
+            return
+        slots = self.backoff_rng.randrange(2 ** min(attempts, 10))
+        if slots:
+            bus.sim.timeout(slots * bus.slot_time).callbacks.append(self.sense)
+        else:
+            self.sense()

@@ -15,6 +15,10 @@ The implementation is built for large clusters:
   float (the time the port is next free), not a ``Resource``; queueing for
   a port is computed arithmetically, so a frame costs two simulation events
   (uplink done, delivery) instead of a process plus resource round trips.
+* **callbacks, no process** — :meth:`SwitchedLAN.transmit` arms the uplink
+  timer with the frame's state as its value and one bound method as its
+  callback, which arms the delivery timers the same way and then calls
+  the sender's ``done``.
 * **cut-through forwarding** (default) — the switch starts driving the
   output port once the frame header has arrived instead of buffering the
   whole frame, so the per-hop cost is header time + forwarding latency
@@ -24,7 +28,7 @@ The implementation is built for large clusters:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import NetworkError
 from ..sim.core import Event, Simulator
@@ -38,8 +42,8 @@ __all__ = ["SwitchedLAN"]
 class SwitchedLAN:
     """A switch with one full-duplex port per station.
 
-    Exposes the same ``attach``/``send`` interface as ``EthernetBus`` so the
-    fabric is pluggable in cluster construction.
+    Exposes the same ``attach``/``transmit`` interface as ``EthernetBus`` so
+    the fabric is pluggable in cluster construction.
     """
 
     _c_frames_sent = LazyStat("frames_sent")
@@ -74,6 +78,9 @@ class SwitchedLAN:
         #: station -> partition group id; None = fully connected
         self._partition: Optional[Dict[int, int]] = None
         self.stats = StatSet(name)
+        #: the uplink and delivery timers' callbacks, bound once
+        self._uplink_done_cb = self._uplink_done
+        self._deliver_cb = self._deliver
 
     def attach(self, station_id: int, deliver: Callable[[EthernetFrame], None]) -> None:
         """Register a station; ``deliver`` is called with received frames."""
@@ -128,34 +135,39 @@ class SwitchedLAN:
     def transmission_time(self, frame: EthernetFrame) -> float:
         return bits(frame.wire_bytes) / self.rate_bps
 
-    def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
-        """Serialise onto the uplink; forwarding and delivery are computed
-        arithmetically and scheduled as one timer per destination."""
+    def transmit(self, frame: EthernetFrame, done: Callable[[str], None]) -> None:
+        """Serialise onto the uplink, then call ``done("ok")``; forwarding and
+        delivery are computed arithmetically and scheduled as one timer per
+        destination."""
         if frame.src not in self._stations:
             raise NetworkError(f"source station {frame.src} is not attached to {self.name}")
         if frame.dst != BROADCAST and frame.dst not in self._stations:
             raise NetworkError(f"destination station {frame.dst} is not attached to {self.name}")
         sim = self.sim
-        tx = self.transmission_time(frame)
+        tx = frame.wire_bytes * 8 / self.rate_bps  # transmission_time, inlined
         now = sim.now
         start = max(now, self._up_free[frame.src])
-        done = start + tx
-        self._up_free[frame.src] = done
-        yield sim.timeout(done - now)
+        end = start + tx
+        self._up_free[frame.src] = end
+        sim.timeout(end - now, (frame, start, tx, done)).callbacks.append(self._uplink_done_cb)
+
+    def _uplink_done(self, timer: Event) -> None:
+        frame, start, tx, done = timer._value
+        sim = self.sim
         self._c_frames_sent.increment()
         self._c_bytes_sent.increment(frame.wire_bytes)
         # When can the switch begin driving an output port?
         if self.cut_through:
             ready = start + self.header_time + self.forward_latency
         else:
-            ready = done + self.forward_latency
+            ready = start + tx + self.forward_latency
         targets = (
             [sid for sid in self._stations if sid != frame.src]
             if frame.dst == BROADCAST
             else [frame.dst]
         )
         for target in targets:
-            if not self.reachable(frame.src, target):
+            if self._partition is not None and not self.reachable(frame.src, target):
                 # Sent into a partition: dropped at the ingress port.  The
                 # delivery timer is never armed, so the frame cannot pop out
                 # after a heal.
@@ -163,12 +175,14 @@ class SwitchedLAN:
                 continue
             dn_start = max(ready, self._down_free[target])
             self._down_free[target] = dn_start + tx
-            timer = sim.timeout(dn_start + tx + self.prop_delay - sim.now)
-            timer.callbacks.append(lambda _ev, t=target: self._deliver(frame, t))
-        return "ok"
+            sim.timeout(
+                dn_start + tx + self.prop_delay - sim.now, (frame, target)
+            ).callbacks.append(self._deliver_cb)
+        done("ok")
 
-    def _deliver(self, frame: EthernetFrame, target: int) -> None:
-        if not self.reachable(frame.src, target):
+    def _deliver(self, timer: Event) -> None:
+        frame, target = timer._value
+        if self._partition is not None and not self.reachable(frame.src, target):
             # Partition appeared while the frame was queued in the switch.
             self.stats.counter("partition_drops").increment()
             return

@@ -80,14 +80,16 @@ def bus_contention() -> Dict[str, float]:
     for i in range(8):
         bus.attach(i, lambda f: None)
 
-    def chatter(src):
-        for k in range(100):
-            yield from bus.send(
-                EthernetFrame(src=src, dst=(src + 1) % 8, payload=k, payload_bytes=128)
+    def chatter(src, k=0):
+        # Each station sends its next frame from the last one's completion.
+        if k < 100:
+            bus.transmit(
+                EthernetFrame(src=src, dst=(src + 1) % 8, payload=k, payload_bytes=128),
+                lambda _status: chatter(src, k + 1),
             )
 
     for i in range(8):
-        sim.process(chatter(i))
+        chatter(i)
     sim.run_all()
     return _outcome(sim, frames=bus.stats.counter("frames_sent").value)
 

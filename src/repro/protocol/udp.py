@@ -100,7 +100,10 @@ class DatagramService:
         src_port: int = 0,
         trace: Any = None,
     ) -> Generator[Event, Any, Packet]:
-        """Fragment + enqueue a packet; completes when all fragments queued."""
+        """Fragment + enqueue a packet; completes when all fragments queued.
+
+        Suspends only while the NIC's ring is full; a fragment the ring
+        takes at once costs no yield."""
         span = None
         if self.obs.enabled and trace is not None:
             span = self.obs.begin(
@@ -130,7 +133,9 @@ class DatagramService:
                 payload_bytes=fragment.wire_payload_bytes,
                 trace=trace,
             )
-            yield self.nic.enqueue(frame)
+            queued = self.nic.enqueue(frame)
+            if queued.callbacks is not None:  # the ring is full: wait for room
+                yield queued
         if span is not None:
             self.obs.end(span, self.sim.now)
         return packet

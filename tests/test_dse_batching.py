@@ -154,6 +154,67 @@ def test_read_combining_shares_one_fetch():
     assert combined == 1  # ...shared by the second reader
 
 
+def test_read_combining_follower_gets_the_leaders_data():
+    """A reader that joins an in-flight read resumes with the leader's
+    response, after the leader, without a wire message of its own."""
+
+    def master(api):
+        gm = api.kernel.gmem
+        sim = api.kernel.sim
+        addr = api.home_base(1)
+        yield from api.gm_write(addr, np.arange(16, dtype=float))
+        yield from gm.flush()
+        order = []
+
+        def reader(tag):
+            data = yield from gm.read(addr, 16)
+            order.append((tag, list(data), sim.now))
+
+        leader = sim.process(reader("leader"))
+        follower = sim.process(reader("follower"))
+        yield leader
+        yield follower
+        return order, gm.stats.counter("remote_reads").value
+
+    order, remote = run_master(cfg(), master).returns[0]
+    assert [tag for tag, _, _ in order] == ["leader", "follower"]
+    assert order[0][1] == order[1][1] == [float(i) for i in range(16)]
+    assert order[0][2] == order[1][2]  # the marker fires at the response's instant
+    assert remote == 1
+
+
+def test_read_nobody_joins_schedules_no_marker():
+    """A combined read that no follower joins costs exactly the events of
+    the plain request/response round trip: no marker is scheduled."""
+
+    def master(api):
+        gm = api.kernel.gmem
+        sim = api.kernel.sim
+        addr = api.home_base(1)
+        yield from api.gm_write(addr, np.full(8, 2.0))
+        yield from gm.flush()
+        yield from gm._remote_read(1, addr, 8)  # warm both sides' paths
+        # Each window ends on a zero timeout, so an event the read left
+        # due at its last instant is processed inside the window.
+        before = sim.events_processed
+        plain = yield from gm._remote_read(1, addr, 8)
+        yield sim.timeout(0.0)
+        plain_events = sim.events_processed - before
+        before = sim.events_processed
+        combined = yield from gm._remote_read_combined(1, addr, 8)
+        yield sim.timeout(0.0)
+        combined_events = sim.events_processed - before
+        return (list(plain), list(combined), plain_events, combined_events,
+                gm.stats.counter("combined_reads").value, dict(gm._read_inflight))
+
+    plain, combined, plain_events, combined_events, joined, inflight = (
+        run_master(cfg(), master).returns[0]
+    )
+    assert plain == combined == [2.0] * 8
+    assert joined == 0 and inflight == {}
+    assert combined_events == plain_events > 0
+
+
 def test_batching_reduces_wire_messages():
     """Same workload, same config: batching must cut total messages."""
 

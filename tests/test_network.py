@@ -22,6 +22,27 @@ def make_bus(sim, **kw):
     return EthernetBus(sim, RandomStreams(1234), **kw)
 
 
+def ignore(_status):
+    pass
+
+
+def transmit_at(fabric, start, frame, done=ignore):
+    """Hand ``frame`` to ``fabric`` at simulated time ``start``."""
+    fabric.sim.timeout(start).callbacks.append(lambda _ev: fabric.transmit(frame, done))
+
+
+def transmit_each(fabric, frames):
+    """Send ``frames`` in order, each from the last one's completion."""
+    frames = iter(frames)
+
+    def next_frame(_status=None):
+        frame = next(frames, None)
+        if frame is not None:
+            fabric.transmit(frame, next_frame)
+
+    next_frame()
+
+
 # ---------------------------------------------------------------- frames
 def test_frame_wire_size_includes_padding():
     f = EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1)
@@ -57,14 +78,12 @@ def test_bus_single_transmission_delivers():
     bus.attach(0, lambda f: None)
     bus.attach(1, received.append)
 
-    def sender():
-        frame = EthernetFrame(src=0, dst=1, payload="hello", payload_bytes=100)
-        status = yield from bus.send(frame)
-        return status
-
-    p = sim.process(sender())
-    assert sim.run(p) == SEND_OK
+    statuses = []
+    bus.transmit(EthernetFrame(src=0, dst=1, payload="hello", payload_bytes=100),
+                 statuses.append)
+    assert statuses == []  # done never runs inside transmit
     sim.run_all()
+    assert statuses == [SEND_OK]
     assert len(received) == 1
     assert received[0].payload == "hello"
 
@@ -77,13 +96,11 @@ def test_bus_transmission_takes_wire_time():
     frame = EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1000)
     expected_tx = frame.wire_bytes * 8 / 10e6
 
-    def sender():
-        yield from bus.send(frame)
-        return sim.now
-
-    done_at = sim.run(sim.process(sender()))
+    done_at = []
+    bus.transmit(frame, lambda _status: done_at.append(sim.now))
+    sim.run_all()
     # collision window + transmission time
-    assert done_at == pytest.approx(bus.collision_window + expected_tx)
+    assert done_at == [pytest.approx(bus.collision_window + expected_tx)]
 
 
 def test_bus_broadcast_reaches_all_but_sender():
@@ -93,12 +110,7 @@ def test_bus_broadcast_reaches_all_but_sender():
     for i in range(4):
         bus.attach(i, received[i].append)
 
-    def sender():
-        yield from bus.send(
-            EthernetFrame(src=2, dst=BROADCAST, payload="b", payload_bytes=50)
-        )
-
-    sim.process(sender())
+    bus.transmit(EthernetFrame(src=2, dst=BROADCAST, payload="b", payload_bytes=50), ignore)
     sim.run_all()
     assert [len(received[i]) for i in range(4)] == [1, 1, 0, 1]
 
@@ -108,12 +120,10 @@ def test_bus_unknown_station_rejected():
     bus = make_bus(sim)
     bus.attach(0, lambda f: None)
 
-    def sender():
-        yield from bus.send(EthernetFrame(src=0, dst=9, payload=None, payload_bytes=10))
-
-    p = sim.process(sender())
     with pytest.raises(NetworkError):
-        sim.run(p)
+        bus.transmit(EthernetFrame(src=0, dst=9, payload=None, payload_bytes=10), ignore)
+    with pytest.raises(NetworkError):
+        bus.transmit(EthernetFrame(src=9, dst=0, payload=None, payload_bytes=10), ignore)
 
 
 def test_bus_duplicate_attach_rejected():
@@ -134,13 +144,12 @@ def test_bus_serialises_senders():
     bus.attach(2, lambda f: deliveries.append((sim.now, f.src)))
 
     def sender(src, start):
-        yield sim.timeout(start)
-        yield from bus.send(EthernetFrame(src=src, dst=2, payload=None, payload_bytes=1000))
+        transmit_at(bus, start, EthernetFrame(src=src, dst=2, payload=None, payload_bytes=1000))
 
     # Stagger so they do NOT collide: station 1 starts while 0 transmits,
     # senses carrier, and defers.
-    sim.process(sender(0, 0.0))
-    sim.process(sender(1, 0.0005))
+    sender(0, 0.0)
+    sender(1, 0.0005)
     sim.run_all()
     assert len(deliveries) == 2
     tx = (1000 + 26) * 8 / 10e6
@@ -156,11 +165,8 @@ def test_bus_simultaneous_senders_collide_then_recover():
     bus.attach(1, lambda f: None)
     bus.attach(2, lambda f: deliveries.append(f.src))
 
-    def sender(src):
-        yield from bus.send(EthernetFrame(src=src, dst=2, payload=None, payload_bytes=200))
-
-    sim.process(sender(0))
-    sim.process(sender(1))
+    for src in (0, 1):
+        bus.transmit(EthernetFrame(src=src, dst=2, payload=None, payload_bytes=200), ignore)
     sim.run_all()
     assert sorted(deliveries) == [0, 1]
     assert bus.stats.counter("collisions").value >= 1
@@ -176,11 +182,8 @@ def test_bus_many_contenders_eventually_all_deliver():
         bus.attach(i, lambda f: None)
     bus.attach(n, lambda f: deliveries.append(f.src))
 
-    def sender(src):
-        yield from bus.send(EthernetFrame(src=src, dst=n, payload=None, payload_bytes=100))
-
     for i in range(n):
-        sim.process(sender(i))
+        bus.transmit(EthernetFrame(src=i, dst=n, payload=None, payload_bytes=100), ignore)
     sim.run_all()
     assert sorted(deliveries) == list(range(n))
 
@@ -196,14 +199,9 @@ def test_bus_backoffs_grow_with_offered_load():
         for i in range(n_stations + 1):
             bus.attach(i, lambda f: None)
 
-        def chatter(src):
-            for _ in range(n_msgs):
-                yield from bus.send(
-                    EthernetFrame(src=src, dst=sink, payload=None, payload_bytes=64)
-                )
-
         for i in range(n_stations):
-            sim.process(chatter(i))
+            transmit_each(bus, [EthernetFrame(src=i, dst=sink, payload=None, payload_bytes=64)
+                                for _ in range(n_msgs)])
         sim.run_all()
         sent = bus.stats.counter("frames_sent").value
         assert sent == n_stations * n_msgs
@@ -220,10 +218,7 @@ def test_bus_utilization_tracked():
     bus.attach(0, lambda f: None)
     bus.attach(1, lambda f: None)
 
-    def sender():
-        yield from bus.send(EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1500))
-
-    sim.process(sender())
+    bus.transmit(EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1500), ignore)
     sim.run_all()
     assert bus.utilization.average(sim.now) > 0
 
@@ -236,14 +231,11 @@ def test_switch_delivers_without_collisions():
     lan.attach(0, lambda f: None)
     lan.attach(1, received.append)
 
-    def sender():
-        status = yield from lan.send(
-            EthernetFrame(src=0, dst=1, payload="x", payload_bytes=500)
-        )
-        return status
-
-    assert sim.run(sim.process(sender())) == "ok"
+    statuses = []
+    lan.transmit(EthernetFrame(src=0, dst=1, payload="x", payload_bytes=500), statuses.append)
+    assert statuses == []  # done never runs inside transmit
     sim.run_all()
+    assert statuses == [SEND_OK]
     assert len(received) == 1
     assert lan.collision_rate() == 0.0
 
@@ -256,11 +248,8 @@ def test_switch_concurrent_distinct_pairs_overlap():
     for i in range(4):
         lan.attach(i, lambda f, i=i: finish.setdefault(i, sim.now))
 
-    def sender(src, dst):
-        yield from lan.send(EthernetFrame(src=src, dst=dst, payload=None, payload_bytes=1500))
-
-    sim.process(sender(0, 1))
-    sim.process(sender(2, 3))
+    for src, dst in ((0, 1), (2, 3)):
+        lan.transmit(EthernetFrame(src=src, dst=dst, payload=None, payload_bytes=1500), ignore)
     sim.run_all()
     # Both deliveries complete at (almost) the same time: serialisation
     # happened on distinct links.
@@ -274,11 +263,8 @@ def test_switch_same_downlink_serialises():
     for i in range(3):
         lan.attach(i, lambda f: arrivals.append(sim.now) if f.dst == 2 else None)
 
-    def sender(src):
-        yield from lan.send(EthernetFrame(src=src, dst=2, payload=None, payload_bytes=1500))
-
-    sim.process(sender(0))
-    sim.process(sender(1))
+    for src in (0, 1):
+        lan.transmit(EthernetFrame(src=src, dst=2, payload=None, payload_bytes=1500), ignore)
     sim.run_all()
     tx = (1500 + 26) * 8 / 10e6
     assert len(arrivals) == 2
@@ -296,12 +282,7 @@ def test_switch_cut_through_beats_store_and_forward():
         lan.attach(0, lambda f: None)
         lan.attach(1, lambda f: arrivals.setdefault(cut_through, sim.now))
 
-        def sender():
-            yield from lan.send(
-                EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1500)
-            )
-
-        sim.process(sender())
+        lan.transmit(EthernetFrame(src=0, dst=1, payload=None, payload_bytes=1500), ignore)
         sim.run_all()
     tx = (1500 + 26) * 8 / 10e6
     assert arrivals[True] < arrivals[False]
@@ -316,10 +297,7 @@ def test_switch_broadcast():
     for i in range(3):
         lan.attach(i, lambda f, i=i: got.append(i))
 
-    def sender():
-        yield from lan.send(EthernetFrame(src=0, dst=BROADCAST, payload=None, payload_bytes=64))
-
-    sim.process(sender())
+    lan.transmit(EthernetFrame(src=0, dst=BROADCAST, payload=None, payload_bytes=64), ignore)
     sim.run_all()
     assert sorted(got) == [1, 2]
 

@@ -3,10 +3,14 @@
 The oracle below is the original CSMA/CD arbitration: the first contender
 of an idle period starts one ``resolve`` process, which sleeps through the
 collision window, then through the transmission or the jam, and answers
-the grants when it wakes.  Schedules come with exact start-time ties (so
-contenders meet in one window, and joins land on the instants a window,
-a transmission or a jam ends), with broadcasts, and with a partition and
-a heal.  Every per-frame outcome and every bus statistic must be equal.
+the grants when it wakes.  Its stations are processes driving the
+generator ``send`` the bus had then; the bus under test is driven by
+callbacks through ``transmit``, each station sending its next frame from
+the last one's completion, as a station process did.  Schedules come with
+exact start-time ties (so contenders meet in one window, and joins land on
+the instants a window, a transmission or a jam ends), with broadcasts, and
+with a partition and a heal.  Every per-frame outcome and every bus
+statistic must be equal.
 """
 
 from typing import Any, Generator
@@ -16,13 +20,15 @@ from hypothesis import given, settings, strategies as st
 from repro.network import BROADCAST, SEND_DROPPED, SEND_OK, EthernetBus, EthernetFrame
 from repro.network.ethernet import _COLLIDED
 from repro.sim import Event, RandomStreams, Simulator
+from repro.sim.core import PRIORITY_URGENT
 from repro.util.units import US
 
 
 # ------------------------------------------------------------- the oracle
 class _ResolverBus(EthernetBus):
     """The bus as it arbitrated with one resolver process per idle period
-    (its send without the observability spans, which these runs leave off)."""
+    and sent from the station's process (its send without the observability
+    spans, which these runs leave off)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -119,6 +125,39 @@ def _schedules(draw):
     return n_stations, frames, cut, seed, max_attempts
 
 
+def _callback_station(sim, bus, sid, frames, outcomes):
+    """A station as callbacks, started where a process would be: one urgent
+    event now, then each frame from its start timeout or from the last
+    frame's completion."""
+    mine = iter([item for item in frames if item[1] == sid])
+
+    def next_frame(_event=None):
+        item = next(mine, None)
+        if item is None:
+            return
+        start = item[4]
+        if start > sim.now:
+            sim.timeout(start - sim.now).callbacks.append(lambda _ev: send(item))
+        else:
+            send(item)
+
+    def send(item):
+        label, src, dst, size, _start = item
+        stream = bus._backoff_streams[sid]
+        draws = stream.draws
+        frame = EthernetFrame(src=src, dst=dst, payload=label, payload_bytes=size)
+
+        def done(status):
+            outcomes.append((label, status, sim.now, stream.draws - draws + 1))
+            next_frame()
+
+        bus.transmit(frame, done)
+
+    kick = Event(sim, "station")
+    kick.callbacks.append(next_frame)
+    kick.succeed(priority=PRIORITY_URGENT)
+
+
 def _play(bus_class, schedule):
     n_stations, frames, cut, seed, max_attempts = schedule
     sim = Simulator()
@@ -148,7 +187,10 @@ def _play(bus_class, schedule):
         bus.heal()
 
     for sid in range(n_stations):
-        sim.process(station(sid))
+        if bus_class is _ResolverBus:
+            sim.process(station(sid))
+        else:
+            _callback_station(sim, bus, sid, frames, outcomes)
     if cut is not None:
         sim.process(cutter(*cut))
     sim.run()

@@ -268,15 +268,11 @@ def test_collision_instants_recorded():
     bus.attach(1, lambda f: None)
     statuses = []
 
-    def tx(src):
+    for src in (0, 1):
         ctx = sim.obs.begin(sim.now, f"test-root-{src}", "test", src, NET_TID, None).ctx
         frame = EthernetFrame(src=src, dst=1 - src, payload=None,
                               payload_bytes=256, trace=ctx)
-        status = yield from bus.send(frame)
-        statuses.append(status)
-
-    sim.process(tx(0))
-    sim.process(tx(1))
+        bus.transmit(frame, statuses.append)
     sim.run_all()
     assert statuses == [SEND_OK, SEND_OK]
     collisions = sim.obs.by_name("eth.collision")

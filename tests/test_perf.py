@@ -28,13 +28,15 @@ _spec.loader.exec_module(paired_bench)
 #: captured on the PRE-optimisation engine and must never drift: the fast
 #: paths (timeout pooling, cached PS shortest-remaining, inlined dispatch)
 #: are required to keep simulated time bit-identical.  The one count
-#: re-pinned since is ``bus_contention`` ``events`` (5372 -> 4510): the
-#: bus arbiter became one timer, so an arbitration no longer ends a
-#: resolver process (one event each); ``sim_now`` is unchanged.
+#: re-pinned since is ``bus_contention`` ``events`` (5372 -> 4510 -> 4494):
+#: the bus arbiter became one timer, so an arbitration no longer ends a
+#: resolver process (one event each); then the bus took ``transmit(frame,
+#: done)`` callbacks, so the eight stations no longer run as processes
+#: (their start and end events); ``sim_now`` is unchanged.
 MICRO_PINS = {
     "timeout_chain": {"sim_now": 20.00000000000146, "events": 20002, "cancelled": 0},
     "ps_churn": {"sim_now": 3.80799625, "events": 6007, "cancelled": 1999},
-    "bus_contention": {"sim_now": 0.18462899999999832, "events": 4510, "cancelled": 0},
+    "bus_contention": {"sim_now": 0.18462899999999832, "events": 4494, "cancelled": 0},
 }
 
 #: exact outcome of the solo-burst scenario, captured on the scheduler
@@ -207,13 +209,47 @@ def test_record_stores_a_paired_summary_of_this_host_only(tmp_path, monkeypatch,
     assert check_bench.main(argv) == 0
     entry = check_bench.load_trajectory(path)[-1]
     assert entry["results"] == committed
-    assert entry["paired"]["traffic_sweep"]["summary"] == summary
-    assert check_bench.host_stamp(entry["paired"]["traffic_sweep"]) == check_bench.host_stamp(entry)
+    run_key = "traffic_sweep seeds 1-10"
+    assert entry["paired"][run_key]["summary"] == summary
+    assert check_bench.host_stamp(entry["paired"][run_key]) == check_bench.host_stamp(entry)
     # the paired key sits outside results: the exact comparison ignores it
     assert check_bench.compare(committed, {}, [entry], (), 0.15) == 0
     assert check_bench.main(["--suite", "hostbench", "--trajectory",
                              "--baseline", str(path)]) == 0
-    assert "traffic_sweep pass_s 4.6 -> 4 (10/10 wins)" in capsys.readouterr().out
+    assert "traffic_sweep seeds 1-10 pass_s 4.6 -> 4 (10/10 wins)" in capsys.readouterr().out
+
+
+def test_record_keeps_every_seed_set_of_one_workload(tmp_path, monkeypatch, capsys):
+    path = _trajectory_copy(tmp_path, "hostbench")
+    committed = check_bench.load_trajectory(path)[-1]["results"]
+    suites = check_bench.SUITES
+    monkeypatch.setitem(suites, "hostbench", suites["hostbench"]._replace(
+        measure=lambda args: (committed, {})))
+    files = []
+    for first, last, median in ((1, 10, 3.0), (11, 20, 3.1), (1, 10, 3.2)):
+        summary = {"pass_s": {"parent": [3.5, 3.6, 3.7], "change": [2.9, median, 3.3],
+                              "pairs": 10, "wins": 9}}
+        run = {**paired_bench.host_stamp(), "workload": "scale_switch", "parent": "abc1234",
+               "seeds": [first, last], "seconds": 12.0, "summary": summary}
+        files.append(tmp_path / f"paired-{len(files)}.json")
+        files[-1].write_text(json.dumps(run))
+    argv = ["--suite", "hostbench", "--record", "--baseline", str(path), "--label", "sets"]
+    before = path.read_text()
+
+    with pytest.raises(SystemExit):  # two summaries of one workload and seed range
+        check_bench.main(argv + ["--paired", str(files[0]), "--paired", str(files[2])])
+    assert path.read_text() == before
+
+    assert check_bench.main(argv + ["--paired", str(files[0]), "--paired", str(files[1])]) == 0
+    paired = check_bench.load_trajectory(path)[-1]["paired"]
+    assert sorted(paired) == ["scale_switch seeds 1-10", "scale_switch seeds 11-20"]
+    assert paired["scale_switch seeds 11-20"]["summary"]["pass_s"]["change"][1] == 3.1
+    capsys.readouterr()
+    assert check_bench.main(["--suite", "hostbench", "--trajectory",
+                             "--baseline", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "scale_switch seeds 1-10 pass_s 3.6 -> 3 (9/10 wins)" in out
+    assert "scale_switch seeds 11-20 pass_s 3.6 -> 3.1 (9/10 wins)" in out
 
 
 #: one exact field per suite to perturb in the compare test

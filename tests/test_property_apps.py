@@ -160,15 +160,16 @@ def test_ethernet_delivers_everything_exactly_once(n_stations, n_frames, seed):
 
     sent = []
 
-    def sender(src):
-        for k in range(n_frames):
+    def sender(src, k=0):
+        # Each frame goes out from the last one's completion.
+        if k < n_frames:
             dst = (src + 1) % n_stations
             frame = EthernetFrame(src=src, dst=dst, payload=(src, k), payload_bytes=64)
             sent.append((src, k))
-            yield from bus.send(frame)
+            bus.transmit(frame, lambda _status: sender(src, k + 1))
 
     for i in range(n_stations):
-        sim.process(sender(i))
+        sender(i)
     sim.run_all()
     got = [f.payload for f in received]
     assert sorted(got) == sorted(sent)

@@ -95,6 +95,38 @@ def test_datagram_large_payload_fragments_and_reassembles():
     assert b.stats.counter("packets_received").value == 1
 
 
+def test_datagram_send_blocks_on_a_full_ring_and_sends_in_order():
+    """With a one-frame ring, a multi-fragment send waits for room (and
+    returns only once its last fragment is queued), and every fragment of
+    both packets goes out in order."""
+    sim = Simulator()
+    bus = EthernetBus(sim, RandomStreams(7))
+    nic_a = NIC(sim, bus, 0, tx_queue_depth=1)
+    nic_b = NIC(sim, bus, 1)
+    a, b = DatagramService(sim, nic_a), DatagramService(sim, nic_b)
+    mbox = b.bind(5)
+    wire = []
+    deliver = nic_b._rx_callback
+    nic_b.on_receive(lambda f: (wire.append((f.payload.packet.payload, f.payload.index)),
+                                deliver(f)))
+    returned = {}
+
+    def sender():
+        yield from a.send(1, 5, "big", 5 * (ETH_MTU - UDP_HEADER_BYTES))
+        returned["big"] = sim.now
+        yield from a.send(1, 5, "small", 64)
+        returned["small"] = sim.now
+
+    sim.process(sender())
+    sim.run_all()
+    assert wire == [("big", i) for i in range(5)] + [("small", 0)]
+    assert [pkt.payload for pkt in mbox.queue.items] == ["big", "small"]
+    # fragments 2-4 had to wait for the ring: the send returned later
+    assert returned["big"] > 0.0
+    assert returned["big"] <= returned["small"]
+    assert nic_a.stats.counter("tx_done").value == 6
+
+
 def test_datagram_multiple_ports_independent():
     sim = Simulator()
     _, (a, b) = make_pair(sim)

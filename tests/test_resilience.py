@@ -478,6 +478,10 @@ def _attach(fabric, received, n=4):
         fabric.attach(sid, received[sid].append)
 
 
+def _ignore(_status):
+    pass
+
+
 @pytest.mark.parametrize("make_fabric", [_switch, _bus], ids=["switch", "bus"])
 def test_partition_blocks_cross_segment_traffic(make_fabric):
     sim = Simulator()
@@ -487,15 +491,10 @@ def test_partition_blocks_cross_segment_traffic(make_fabric):
     fabric.partition([[0, 1], [2, 3]])
     assert fabric.reachable(0, 1) and not fabric.reachable(0, 2)
 
-    def sender():
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=1, payload="in", payload_bytes=64)
-        )
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=2, payload="out", payload_bytes=64)
-        )
+    def send_out(_status):
+        fabric.transmit(EthernetFrame(src=0, dst=2, payload="out", payload_bytes=64), _ignore)
 
-    sim.process(sender())
+    fabric.transmit(EthernetFrame(src=0, dst=1, payload="in", payload_bytes=64), send_out)
     sim.run_all()
     assert [f.payload for f in received[1]] == ["in"]
     assert received[2] == []
@@ -510,17 +509,13 @@ def test_partition_drops_in_flight_frames_even_after_heal(make_fabric):
     received = {i: [] for i in range(4)}
     _attach(fabric, received)
 
-    def sender():
+    def cut(_status):
         # The cut lands after transmission but before delivery: the frame is
         # in flight inside the fabric and must never pop out, even healed.
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=2, payload="late", payload_bytes=500)
-        )
         fabric.partition([[0, 1], [2, 3]])
-        yield sim.timeout(0.01)
-        fabric.heal()
+        sim.timeout(0.01).callbacks.append(lambda _ev: fabric.heal())
 
-    sim.process(sender())
+    fabric.transmit(EthernetFrame(src=0, dst=2, payload="late", payload_bytes=500), cut)
     sim.run_all()
     assert received[2] == []
     assert fabric.stats.counter("partition_drops").value == 1
@@ -535,12 +530,7 @@ def test_bus_broadcast_respects_partition():
     _attach(fabric, received)
     fabric.partition([[0, 1], [2, 3]])
 
-    def sender():
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=BROADCAST, payload="b", payload_bytes=64)
-        )
-
-    sim.process(sender())
+    fabric.transmit(EthernetFrame(src=0, dst=BROADCAST, payload="b", payload_bytes=64), _ignore)
     sim.run_all()
     assert [len(received[i]) for i in range(4)] == [0, 1, 0, 0]
     assert fabric.stats.counter("partition_drops").value == 2
@@ -567,16 +557,12 @@ def test_traffic_resumes_after_heal():
     _attach(fabric, received)
     fabric.partition([[0, 1]])
 
-    def sender():
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=3, payload="lost", payload_bytes=64)
-        )
+    def heal_and_resend(_status):
         fabric.heal()
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=3, payload="found", payload_bytes=64)
-        )
+        fabric.transmit(EthernetFrame(src=0, dst=3, payload="found", payload_bytes=64), _ignore)
 
-    sim.process(sender())
+    fabric.transmit(EthernetFrame(src=0, dst=3, payload="lost", payload_bytes=64),
+                    heal_and_resend)
     sim.run_all()
     assert [f.payload for f in received[3]] == ["found"]
 
@@ -590,12 +576,7 @@ def test_downed_nic_drops_received_traffic():
         nic.on_receive(received[sid].append)
     nics[2].up = False  # crashed machine: interface stops answering
 
-    def sender():
-        yield from fabric.send(
-            EthernetFrame(src=0, dst=2, payload="x", payload_bytes=64)
-        )
-
-    sim.process(sender())
+    fabric.transmit(EthernetFrame(src=0, dst=2, payload="x", payload_bytes=64), _ignore)
     sim.run_all()
     assert received[2] == []
     assert nics[2].stats.counter("rx_dropped_down").value == 1

@@ -29,8 +29,10 @@ Four suites, selected with ``--suite``, each one :class:`Suite` entry in
   ``hostbench/`` is imported, never changed.  No wall fields, no gates.
   ``--record --paired PATH`` (repeatable) stores the summaries that
   ``tools/paired_bench.py --json PATH`` wrote, measured on this host, in
-  the new entry under ``paired`` (by workload), outside ``results``: a
-  speed claim is then committed next to the exact counts it keeps.
+  the new entry under ``paired``, outside ``results``, keyed by workload
+  and seed range (``"scale_switch seeds 1-10"``; entries recorded before
+  that are keyed by workload alone): a speed claim is then committed next
+  to the exact counts it keeps, with every seed set it was measured on.
 
 All four files share one schema::
 
@@ -216,14 +218,19 @@ def hostbench_pins(args) -> Tuple[Results, dict]:
 
 
 def load_paired(paths: List[Path], parser) -> Dict[str, dict]:
-    """workload -> paired summary, refusing one measured on another host."""
+    """"<workload> seeds <first>-<last>" -> paired summary, refusing one
+    measured on another host and a second one of the same key."""
     paired = {}
     for path in paths:
         summary = json.loads(path.read_text())
         here = host_stamp(stamp(""))
         if host_stamp(summary) != here:
             parser.error(f"{path}: measured on {host_stamp(summary)}, not on this host {here}")
-        paired[summary.pop("workload")] = summary
+        first, last = summary["seeds"]
+        key = f"{summary.pop('workload')} seeds {first}-{last}"
+        if key in paired:
+            parser.error(f"{path}: a second paired summary of {key}")
+        paired[key] = summary
     return paired
 
 
@@ -345,9 +352,9 @@ def show_trajectory(trajectory: list, wall: Tuple[str, ...],
             for n, r in sorted(entry["results"].items()) for fld in wall if fld in r
         )
         print(f"{entry['label']:>36} {host_stamp(entry)}" + (f": {walls}" if walls else ""))
-        for workload, run in sorted(entry.get("paired", {}).items()):
+        for key, run in sorted(entry.get("paired", {}).items()):
             for name, m in run["summary"].items():
-                print(f"{'':>36}   paired vs {run['parent']}: {workload} {name} "
+                print(f"{'':>36}   paired vs {run['parent']}: {key} {name} "
                       f"{m['parent'][1]:.4g} -> {m['change'][1]:.4g} "
                       f"({m['wins']}/{m['pairs']} wins)")
     for first, last in speedup_pairs(trajectory):
