@@ -123,7 +123,7 @@ class Cluster:
         for machine in self.machines:
             host = machine.hostname
             cpu = machine.cpu
-            sampler.register(f"{host}.run_queue", lambda c=cpu: c.run_queue.level)
+            sampler.register(f"{host}.run_queue", lambda c=cpu: c.load)
             sampler.register(f"{host}.nic.tx_depth", lambda n=machine.nic: len(n.tx_queue))
             sampler.register_statset(host, machine.stats)
             sampler.register_statset(f"{host}.nic", machine.nic.stats)

@@ -3,7 +3,7 @@
 These are the wall-clock workloads behind ``BENCH_engine.json``: three
 micro-benches that stress the discrete-event engine's distinct hot paths
 (bare timeout dispatch, processor-sharing timer churn, CSMA/CD contention),
-the processor-sharing CPU's solo-burst path, and one end-to-end figure
+a never-shared processor-sharing CPU, and one end-to-end figure
 point.  ``tools/check_bench.py`` times them and
 compares against the committed baseline; ``tests/test_perf.py`` asserts
 their *simulated* outcomes stay bit-identical across engine optimisations.

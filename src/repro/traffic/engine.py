@@ -326,10 +326,11 @@ class TrafficEngine:
                     size = sample(svc_rng)
                     self._t_work.observe(size)
                     self._window_work += size
-                    clone = Clone(request, size)
+                    server = servers[server_id]
+                    clone = Clone(request, size, server)
                     clones.append(clone)
                     self._c_dispatched.increment()
-                    servers[server_id].admit(clone, now)
+                    server.admit(clone, now)
                 self._outstanding += 1
             left -= 1
             if left:
@@ -395,11 +396,12 @@ class TrafficEngine:
                 continue
             active = self.cluster.active
             server_id = active[self._dispatch_rng.randrange(len(active))]
-            replacement = Clone(request, clone.size)
+            server = self.cluster.servers[server_id]
+            replacement = Clone(request, clone.size, server)
             request.clones.append(replacement)
             stats.counter("requests_reassigned").increment()
             self.slo.reassigned[request.tenant] += 1
-            self.cluster.servers[server_id].admit(replacement, now)
+            server.admit(replacement, now)
 
     # -- driving ---------------------------------------------------------
     def run(self) -> TrafficResult:

@@ -2,26 +2,12 @@
 
 Each backend node is a :class:`PSServer`: an egalitarian processor-
 sharing queue (every resident job receives ``rate / n`` service), the
-model the PS request-cloning report builds on and the same discipline
-the OS layer's CPU scheduler implements for real guest processes.
-
-The implementation is the classic *virtual time* construction, chosen
-so a million-request run stays tractable on the event engine:
-
-* the server's virtual clock ``V`` advances at ``rate / n(t)``;
-* a job admitted at ``V0`` with ``size`` seconds of work departs when
-  ``V`` reaches ``V0 + size`` — a constant, computed once;
-* departures are a min-heap on that finish virtual time with lazy
-  deletion (cancelled clones stay in the heap, dead), and one
-  :class:`~repro.sim.core.Timer` per server, held for the server's whole
-  lifetime, covers the next departure.  Every arrival, removal and
-  departure sets it with :meth:`~repro.sim.core.Timer.set` (which moves a
-  pending firing in place), and it is cleared when the server empties or
-  goes down.
-
-So one request costs O(log n) heap work and one departure event per
-completed clone, independent of how many jobs share the server, and no
-timer object is allocated per event.
+model the PS request-cloning report builds on.  It is the virtual-time
+queue :class:`repro.sim.ps.PSQueue`, which the OS layer's CPU uses too,
+at speed ``rate`` and no time-sharing tax: one request costs O(log n)
+heap work and one departure event per completed clone, independent of
+how many jobs share the server, and each server holds one departure
+timer for its whole lifetime.
 
 :class:`VirtualCluster` holds the server pool and makes it *elastic*:
 ``grow``/``shrink`` add capacity or drain it away (a shrinking server
@@ -34,166 +20,77 @@ callers resolve the same live view the dispatcher uses.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..errors import ConfigurationError
-from ..sim.core import Simulator, Timer
+from ..sim.core import Simulator
+from ..sim.ps import PSQueue
 from ..ssi.endpoints import ServiceDirectory
 
 __all__ = ["Clone", "PSServer", "VirtualCluster"]
 
 
 class Clone:
-    """One copy of a request resident on one server."""
+    """One copy of a request, dispatched to ``server``."""
 
-    __slots__ = ("request", "size", "server", "vfinish", "alive")
+    __slots__ = ("request", "size", "server", "alive")
 
-    def __init__(self, request: Any, size: float):
+    def __init__(self, request: Any, size: float, server: Optional["PSServer"] = None):
         self.request = request
         self.size = size
-        self.server: Optional["PSServer"] = None
-        self.vfinish = 0.0
+        self.server = server
         #: False once completed, cancelled, or lost to a crash
         self.alive = True
 
 
-class PSServer:
-    """An egalitarian processor-sharing queue with virtual-time departures."""
+class PSServer(PSQueue):
+    """A PS queue of :class:`Clone` jobs, with an id and a drain flag."""
 
-    __slots__ = (
-        "sim", "server_id", "rate", "jobs", "_heap", "_vtime", "_vlast",
-        "_timer", "on_complete", "up", "draining",
-        "busy_area", "completed",
-    )
+    __slots__ = ("server_id", "on_complete", "draining")
 
     def __init__(self, sim: Simulator, server_id: int, rate: float = 1.0):
         if rate <= 0:
             raise ConfigurationError(f"server rate must be > 0, got {rate}")
-        self.sim = sim
+        PSQueue.__init__(self, sim, self._finish, speed=rate, name="trf.depart")
         self.server_id = server_id
-        self.rate = rate
-        #: live clones resident on this server, in admission order
-        self.jobs: Dict[Clone, Clone] = {}
-        #: min-heap of [vfinish, seq, clone] with lazy deletion
-        self._heap: List[list] = []
-        self._vtime = 0.0
-        self._vlast = sim.now
-        self._timer = Timer(sim, self._on_depart, "trf.depart")
         #: called as on_complete(clone, now) when a clone finishes
         self.on_complete: Optional[Callable[[Clone, float], None]] = None
-        self.up = True
         self.draining = False
-        #: integral of "has at least one job" over time (utilisation)
-        self.busy_area = 0.0
-        self.completed = 0
 
-    # -- virtual clock ---------------------------------------------------
-    # ``admit`` and ``_on_depart`` inline this same advance on the hot path.
-    def _advance(self, now: float) -> None:
-        n = len(self.jobs)
-        if n:
-            dt = now - self._vlast
-            self._vtime += dt * self.rate / n
-            self.busy_area += dt
-        self._vlast = now
-
-    def work_left(self, now: float) -> float:
-        """Total unfinished work resident on the server (read-only)."""
-        n = len(self.jobs)
-        if not n:
-            return 0.0
-        v = self._vtime + (now - self._vlast) * self.rate / n
-        return sum(c.vfinish for c in self.jobs.values()) - n * v
+    @property
+    def rate(self) -> float:
+        return self.speed
 
     @property
     def queue_len(self) -> int:
         return len(self.jobs)
 
-    # -- membership ------------------------------------------------------
-    def admit(self, clone: Clone, now: float) -> None:
-        jobs = self.jobs
-        n = len(jobs)
-        if n:
-            dt = now - self._vlast
-            self._vtime += dt * self.rate / n
-            self.busy_area += dt
-        self._vlast = now
-        clone.server = self
-        clone.vfinish = vfinish = self._vtime + clone.size
-        jobs[clone] = clone
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(self._heap, [vfinish, seq, clone])
-        self._set_timer()
-
-    def remove(self, clone: Clone, now: float) -> None:
-        """Cancel a resident clone (sibling won the race, or reassigned)."""
-        if not clone.alive or clone.server is not self:
-            return
-        self._advance(now)
+    def _finish(self, clone: Clone, _last: bool) -> None:
         clone.alive = False
         clone.server = None
-        del self.jobs[clone]
-        self._set_timer()
-
-    # -- departures ------------------------------------------------------
-    def _set_timer(self) -> None:
-        """Point the departure timer at the heap's next live clone, or
-        clear it when nothing is left to depart or the server is down."""
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            heappop(heap)
-        if not heap or not self.up:
-            self._timer.clear()
-            return
-        delay = (heap[0][0] - self._vtime) * len(self.jobs) / self.rate
-        if delay < 0.0:
-            delay = 0.0
-        self._timer.set(delay)
-
-    def _on_depart(self, _event) -> None:
-        now = self.sim.now
-        jobs = self.jobs
-        n = len(jobs)
-        if n:
-            dt = now - self._vlast
-            self._vtime += dt * self.rate / n
-            self.busy_area += dt
-        self._vlast = now
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            heappop(heap)
-        if not heap:  # pragma: no cover - cancelled between arm and fire
-            return
-        clone = heappop(heap)[2]
-        clone.alive = False
-        clone.server = None
-        del jobs[clone]
-        self.completed += 1
-        self._set_timer()
-        # Callback last: it may cancel sibling clones on other servers.
+        # Last: it may cancel sibling clones on other servers.
         if self.on_complete is not None:
-            self.on_complete(clone, now)
+            self.on_complete(clone, self.sim.now)
 
-    # -- failures --------------------------------------------------------
+    def remove(self, clone: Clone, now: float) -> bool:
+        """Cancel a resident clone (sibling won the race, or reassigned)."""
+        if not PSQueue.remove(self, clone, now):
+            return False
+        clone.alive = False
+        clone.server = None
+        return True
+
     def crash(self, now: float) -> List[Clone]:
-        """Take the server down; returns the clones lost with it."""
-        self._advance(now)
-        self.up = False
-        self._timer.clear()
-        # Admission order: reassignment draws must not follow heap addresses.
-        lost = list(self.jobs.values())
+        """Take the server down; returns the clones lost with it, in
+        admission order (reassignment draws must not follow heap order)."""
+        lost = PSQueue.crash(self, now)
         for clone in lost:
             clone.alive = False
             clone.server = None
-        self.jobs.clear()
-        self._heap.clear()
         return lost
 
     def restart(self, now: float) -> None:
-        self._advance(now)
-        self.up = True
+        PSQueue.restart(self, now)
         self.draining = False
 
 
@@ -330,8 +227,5 @@ class VirtualCluster:
             return 0.0
         areas = []
         for server in self.servers:
-            busy = server.busy_area
-            if server.jobs:  # account the open busy interval
-                busy += now - server._vlast
-            areas.append(busy / span)
+            areas.append(server.busy(now) / span)
         return sum(areas) / len(areas) if areas else 0.0

@@ -32,10 +32,13 @@ _spec.loader.exec_module(paired_bench)
 #: the bus arbiter became one timer, so an arbitration no longer ends a
 #: resolver process (one event each); then the bus took ``transmit(frame,
 #: done)`` callbacks, so the eight stations no longer run as processes
-#: (their start and end events); ``sim_now`` is unchanged.
+#: (their start and end events); ``sim_now`` is unchanged.  ``ps_churn``
+#: ``sim_now`` moved by one ulp (3.80799625 -> 3.8079962499999995) when the
+#: CPU became a virtual-time PS queue: a finish tag is not repeated
+#: subtraction.  Its event and cancellation counts did not move.
 MICRO_PINS = {
     "timeout_chain": {"sim_now": 20.00000000000146, "events": 20002, "cancelled": 0},
-    "ps_churn": {"sim_now": 3.80799625, "events": 6007, "cancelled": 1999},
+    "ps_churn": {"sim_now": 3.8079962499999995, "events": 6007, "cancelled": 1999},
     "bus_contention": {"sim_now": 0.18462899999999832, "events": 4494, "cancelled": 0},
 }
 
@@ -124,13 +127,17 @@ def test_same_host_groups_gate_regressions_not_speedups(tmp_path, capsys):
     payload = json.loads(path.read_text())
     stamp = check_bench.host_stamp(payload["trajectory"][-1])
     first = next(e for e in payload["trajectory"] if check_bench.host_stamp(e) == stamp)
+    latest = payload["trajectory"][-1]["results"]
     assert first["label"] != check_bench.SPEEDUP_BASELINE
     gate = ["--trajectory", "--require-speedup", "1.3", "--baseline", str(path)]
 
     def with_last(scale, field="wall", bump=0):
+        # the first entry's walls, timing the latest entry's computation
         last = copy.deepcopy(first)
         last["label"] = "later change"
         for name in MICRO_BENCHES:
+            last["results"][name].update(
+                {f: v for f, v in latest[name].items() if f != "wall"})
             last["results"][name]["wall"] *= scale
             last["results"][name][field] += bump
         path.write_text(json.dumps({**payload, "trajectory": payload["trajectory"] + [last]}))
@@ -149,6 +156,51 @@ def test_same_host_groups_gate_regressions_not_speedups(tmp_path, capsys):
     assert "simulated outcome differs" in capsys.readouterr().out
     # ... which may take fewer events, never more
     assert with_last(1.0, field="events", bump=-1) == 0
+
+
+def test_declared_outcome_change_restarts_the_exact_rule(tmp_path, capsys):
+    path = _trajectory_copy(tmp_path, "engine")
+    payload = json.loads(path.read_text())
+    stamp = check_bench.host_stamp(payload["trajectory"][-1])
+    group = [e for e in payload["trajectory"] if check_bench.host_stamp(e) == stamp]
+    gate = ["--trajectory", "--require-speedup", "1.3", "--baseline", str(path)]
+
+    def with_entries(*entries):
+        path.write_text(json.dumps({**payload, "trajectory": payload["trajectory"] + list(entries)}))
+        return check_bench.main(gate)
+
+    moved = copy.deepcopy(group[-1])
+    moved["label"] = "moved ps_churn"
+    moved.pop("outcome_change", None)
+    moved["results"]["ps_churn"]["sim_now"] += 1e-15
+    later = copy.deepcopy(moved)
+    later["label"] = "after the move"
+    # undeclared, the move fails the group's first -> last outcome rule ...
+    assert with_entries(moved, later) == 1
+    assert "'after the move' ps_churn: " in capsys.readouterr().out
+    # ... declared, later entries must repeat the declaring entry's outcome
+    moved["outcome_change"] = {"ps_churn": "a finish tag rounds differently"}
+    later["outcome_change"] = {}
+    assert with_entries(moved, later) == 0
+    capsys.readouterr()
+    # events and cancellations still may not rise over the group's first
+    later["results"]["ps_churn"]["events"] = group[0]["results"]["ps_churn"]["events"] + 1
+    moved["results"]["ps_churn"]["events"] = later["results"]["ps_churn"]["events"]
+    assert with_entries(moved, later) == 1
+    assert "simulated outcome differs" in capsys.readouterr().out
+
+
+def test_undeclared_outcome_change_still_fails(tmp_path, capsys):
+    path = _trajectory_copy(tmp_path, "engine")
+    payload = json.loads(path.read_text())
+    last = copy.deepcopy(payload["trajectory"][-1])
+    last["label"] = "declares another bench"
+    last["outcome_change"] = {"timeout_chain": "not the one that moved"}
+    last["results"]["ps_churn"]["sim_now"] += 1e-15
+    path.write_text(json.dumps({**payload, "trajectory": payload["trajectory"] + [last]}))
+    gate = ["--trajectory", "--require-speedup", "1.3", "--baseline", str(path)]
+    assert check_bench.main(gate) == 1
+    assert "'declares another bench' ps_churn" in capsys.readouterr().out
 
 
 def _no_measuring(args):
@@ -324,6 +376,26 @@ def test_paired_runner_children_get_a_built_environment(monkeypatch):
     assert set(env) <= set(paired_bench.KEPT_ENV)
     assert paired_bench.seed_range("3-5") == [3, 4, 5]
     assert paired_bench.seed_range("7") == [7]
+
+
+def test_diff_mode_reports_an_ulp_and_an_event_for_what_they_are():
+    parent = {
+        "hostbench": {"paper_bus": {"elapsed/gs/4": 0.1, "network.frames": 40,
+                                    "sim.events": 1000, "sim.cancelled": 7}},
+        "engine": {"ps_churn": {"sim_now": 3.5, "events": 6007, "cancelled": 1999}},
+    }
+    change = copy.deepcopy(parent)
+    change["hostbench"]["paper_bus"]["elapsed/gs/4"] = 0.1 + 2 ** -56  # one ulp
+    change["hostbench"]["paper_bus"]["sim.events"] -= 1
+    lines = paired_bench.diff_lines(parent, change)
+    assert "  hostbench network.frames: integer-identical" in lines
+    assert "  engine sim_now: bit-identical" in lines
+    (elapsed,) = [line for line in lines if "elapsed/gs/4" in line]
+    assert "largest relative |delta| 1.39e-16" in elapsed
+    assert "  events hostbench paper_bus sim.events: 1000 -> 999 (-1)" in lines
+    assert "  events hostbench paper_bus sim.cancelled: 7 -> 7 (unchanged)" in lines
+    # counts are never folded into the output lines
+    assert not any("events" in line for line in lines if not line.startswith("  events"))
 
 
 # -- engine fast paths ---------------------------------------------------------

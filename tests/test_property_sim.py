@@ -5,7 +5,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro.osmodel import ProcessorSharingCPU
 from repro.sim import PRIORITY_URGENT, Event, Resource, Simulator, Store
-from repro.sim.monitor import StatSet, TimeWeighted
+from repro.sim.ps import PSQueue
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20))
@@ -204,192 +204,282 @@ def test_resource_never_exceeds_capacity(capacity, n_users):
     assert res.total_requests == n_users
 
 
-# -- solo-burst path vs the general processor-sharing algorithm ---------------
-class _RefJob:
-    __slots__ = ("event", "remaining")
-
-    def __init__(self, event, demand):
-        self.event = event
-        self.remaining = demand
+# -- the shared processor-sharing queue vs a plain virtual-time reference ------
+_EPS = 1e-12
 
 
-class _ReferencePS:
-    """The processor-sharing CPU without the solo-burst path: every arrival
-    advances all jobs and re-arms, every timer advances and rescans.  Kept
-    here as the bit-exact reference the scheduler's fast path must match."""
+class _Job:
+    __slots__ = ("name", "size", "then")
 
-    def __init__(self, sim, context_switch, timeslice=0.010):
-        self.sim = sim
-        self.context_switch = context_switch
-        self.timeslice = timeslice
-        self._jobs = {}
-        self._next_job_id = 0
-        self._last = sim.now
-        self._epoch = 0
-        self._timer = None
-        self._shortest = float("inf")
-        self.stats = StatSet("ref")
-        self.run_queue = TimeWeighted("ref.runq", start_time=sim.now)
-        self.busy = TimeWeighted("ref.busy", start_time=sim.now)
-
-    def rate(self, n):
-        if n == 1:
-            return 1.0
-        return 1.0 / (n * (1.0 + self.context_switch / self.timeslice))
-
-    def execute(self, demand):
-        event = self.sim.event("ref.burst")
-        self._advance()
-        self._jobs[self._next_job_id] = _RefJob(event, demand)
-        self._next_job_id += 1
-        if demand < self._shortest:
-            self._shortest = demand
-        self._note_queue()
-        self._reschedule()
-        return event
-
-    def _note_queue(self):
-        n = len(self._jobs)
-        self.run_queue.set(n, self.sim.now)
-        self.busy.set(1.0 if n else 0.0, self.sim.now)
-
-    def _advance(self):
-        now = self.sim.now
-        dt = now - self._last
-        self._last = now
-        if dt <= 0 or not self._jobs:
-            return
-        progressed = dt * self.rate(len(self._jobs))
-        for job in self._jobs.values():
-            job.remaining -= progressed
-            if job.remaining < 0:
-                job.remaining = 0.0
-        self._shortest -= progressed
-        if self._shortest < 0:
-            self._shortest = 0.0
-
-    def _reschedule(self):
-        self._epoch += 1
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._jobs:
-            self._shortest = float("inf")
-            return
-        timer = self.sim.timeout(self._shortest / self.rate(len(self._jobs)), value=self._epoch)
-        timer.callbacks.append(self._on_timer)
-        self._timer = timer
-
-    def _on_timer(self, ev):
-        if ev._value != self._epoch:
-            return
-        self._timer = None
-        self._advance()
-        finished = [jid for jid, job in self._jobs.items() if job.remaining <= 1e-12]
-        events = []
-        for jid in finished:
-            events.append(self._jobs.pop(jid).event)
-            self.stats.counter("completed").increment()
-        self._shortest = (
-            min(job.remaining for job in self._jobs.values()) if self._jobs else float("inf")
-        )
-        self._note_queue()
-        self._reschedule()
-        for done in events:
-            done.succeed()
+    def __init__(self, name, size, then=None):
+        self.name = name
+        self.size = size
+        #: the size of a job its completion admits at once, if any
+        self.then = then
 
 
-def _run_arrivals(make_cpu, arrivals, context_switch):
-    """Submit ``(arrival, demand)`` bursts; return completion times, the
-    CPU's integrals, its completed count, the event counts and the cases
-    the schedule reached (for the solo path's conversion points)."""
+class _ReferenceQueue:
+    """Virtual-time processor sharing, written plainly: a fresh
+    ``sim.timeout`` per re-arm, and a full rescan of the resident jobs for
+    the next tag and for the due ones."""
+
+    def __init__(self, sim, done, speed, tax):
+        self.sim, self.done, self.speed, self.tax = sim, done, speed, tax
+        self.jobs = {}  # job -> (tag, seq), admission order
+        self.v = 0.0
+        self.last = sim.now
+        self.timeout = None
+        self.up = True
+        self.busy_area = 0.0
+        self.load_area = 0.0
+
+    def share(self, n):
+        return n * self.tax if n > 1 else n
+
+    def advance(self, now):
+        n = len(self.jobs)
+        if n:
+            dt = now - self.last
+            self.v += dt * self.speed / self.share(n)
+            self.busy_area += dt
+            self.load_area += dt * n
+        self.last = now
+
+    def arm(self):
+        if self.timeout is not None:
+            self.timeout.cancel()
+            self.timeout = None
+        if self.jobs and self.up:
+            tag = min(tag for tag, _ in self.jobs.values())
+            delay = (tag - self.v) * self.share(len(self.jobs)) / self.speed
+            self.timeout = self.sim.timeout(max(delay, 0.0))
+            self.timeout.callbacks.append(self.fire)
+
+    def admit(self, job, now):
+        self.advance(now)
+        self.sim._seq += 1
+        self.jobs[job] = (self.v + job.size, self.sim._seq)
+        self.arm()
+
+    def remove(self, job, now):
+        if job not in self.jobs:
+            return False
+        self.advance(now)
+        del self.jobs[job]
+        self.arm()
+        return True
+
+    def crash(self, now):
+        self.advance(now)
+        self.up = False
+        self.arm()
+        lost = list(self.jobs)
+        self.jobs.clear()
+        return lost
+
+    def restart(self, now):
+        self.advance(now)
+        self.up = True
+
+    def fire(self, _timeout):
+        self.timeout = None
+        self.advance(self.sim.now)
+        head = min(self.jobs, key=self.jobs.get)
+        due = [j for j, (tag, _) in self.jobs.items() if j is head or tag <= self.v + _EPS]
+        for job in due:
+            del self.jobs[job]
+        self.arm()
+        for job in due:
+            self.done(job, len(due) == 1)
+
+
+def _play(make_queue, ops):
+    """Run ``ops`` (``(at, kind, arg)``) against one queue; returns every
+    completion and operation result, the integrals and the event counts."""
     sim = Simulator()
-    cpu = make_cpu(sim, context_switch)
-    done = {}
-    cases = set()
-    started = {}
+    log = []
+    admitted = []
+    queue = None
 
-    def job(i, at, demand):
-        yield sim.timeout(at)
-        if len(cpu._jobs) == 1:
-            (solo,) = cpu._jobs.values()
-            same = started[solo.event] == sim.now
-            cases.add("convert-same-instant" if same else "convert-mid-burst")
-        burst = cpu.execute(demand)
-        started[burst] = sim.now
-        yield burst
-        done[i] = sim.now
+    def done(job, last):
+        log.append(("done", job.name, sim.now.hex(), last))
+        if job.then is not None:
+            follow = _Job(f"{job.name}+", job.then)
+            admitted.append(follow)
+            queue.admit(follow, sim.now)
 
-    for i, (at, demand) in enumerate(arrivals):
-        sim.process(job(i, at, demand))
+    queue = make_queue(sim, done)
+
+    def act(kind, arg):
+        now = sim.now
+        if kind == "admit":
+            size, then = arg
+            job = _Job(f"j{len(admitted)}", size, then)
+            admitted.append(job)
+            queue.admit(job, now)
+        elif kind == "remove" and admitted:
+            job = admitted[arg % len(admitted)]
+            log.append(("remove", job.name, now.hex(), queue.remove(job, now)))
+        elif kind == "crash" and queue.up:
+            log.append(("crash", [j.name for j in queue.crash(now)], now.hex()))
+        elif kind == "restart" and not queue.up:
+            queue.restart(now)
+
+    for at, kind, arg in ops:
+        sim.timeout(at).callbacks.append(lambda _t, kind=kind, arg=arg: act(kind, arg))
     sim.run_all()
-    if set(started.values()) & set(done.values()):
-        cases.add("arrival-at-completion")
     return {
-        "done": [done[i].hex() for i in range(len(arrivals))],
-        "runq": cpu.run_queue.average(sim.now).hex(),
-        "busy": cpu.busy.average(sim.now).hex(),
-        "completed": cpu.stats.counter("completed").value,
-        "events": (sim.events_processed, sim.events_cancelled),
-    }, cases
+        "log": log,
+        "busy": queue.busy_area.hex(),
+        "load": queue.load_area.hex(),
+        "resident": sorted(j.name for j in queue.jobs),
+        "events": (sim.events_processed, sim.events_cancelled, sim._seq),
+    }
 
 
-_demand = st.floats(min_value=1e-6, max_value=0.05)
-
-
-@st.composite
-def _staggered_arrivals(draw):
-    """Arrival times built so collisions with solo completions are likely:
-    each gap is zero (same instant), the previous burst's own demand (its
-    completion instant if it ran alone) or a random offset."""
-    arrivals = []
-    at = 0.0
-    for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        demand = draw(_demand)
-        kind = draw(st.sampled_from(["same", "at-completion", "random"]))
-        if arrivals and kind == "same":
-            at = arrivals[-1][0]
-        elif arrivals and kind == "at-completion":
-            at = arrivals[-1][0] + arrivals[-1][1]
-        elif arrivals:
-            at = arrivals[-1][0] + draw(st.floats(min_value=0.0, max_value=0.05))
-        arrivals.append((at, demand))
-    return arrivals
-
-
-#: one canonical schedule per conversion case the solo path must handle
-_CASES = {
-    "convert-same-instant": [(0.0, 0.004), (0.0, 0.002), (0.01, 0.003)],
-    "convert-mid-burst": [(0.0, 0.004), (0.001, 0.002), (0.02, 0.001)],
-    "arrival-at-completion": [(0.0, 0.003), (0.0 + 0.003, 0.005), (0.008, 0.001)],
-}
-
-
-def _assert_bit_identical(arrivals, context_switch):
-    fast, cases = _run_arrivals(
-        lambda sim, cs: ProcessorSharingCPU(sim, context_switch=cs), arrivals, context_switch
-    )
-    ref, ref_cases = _run_arrivals(_ReferencePS, arrivals, context_switch)
-    assert fast == ref
-    assert cases == ref_cases
-    return cases
+#: sizes from a small set make equal tags, and so batch completions, likely
+_size = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(min_value=1e-6, max_value=2.0))
+_op = st.one_of(
+    st.tuples(st.just("admit"), st.tuples(_size, st.one_of(st.none(), _size))),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.sampled_from(["crash", "restart"]), st.none()),
+)
+#: both shapes: the CPU's (speed 1, a context-switch tax) and a traffic
+#: server's (a rate, no tax)
+_shape = st.one_of(
+    st.tuples(st.just(1.0), st.floats(min_value=1.0, max_value=1.5)),
+    st.tuples(st.sampled_from([0.5, 2.0, 3.0]), st.just(1.0)),
+)
 
 
 @given(
-    arrivals=_staggered_arrivals(),
-    context_switch=st.floats(min_value=1e-6, max_value=2e-3),
+    shape=_shape,
+    ops=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), _op).map(
+            lambda t: (t[0], *t[1])
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_ps_queue_matches_plain_virtual_time_reference(shape, ops):
+    """Completion times and order, batch flags, removals, crash losses, the
+    busy and load integrals, and the event, cancellation and sequence
+    counts equal the plain reference's to the last bit."""
+    speed, tax = shape
+    got = _play(lambda sim, done: PSQueue(sim, done, speed=speed, tax=tax), ops)
+    want = _play(lambda sim, done: _ReferenceQueue(sim, done, speed, tax), ops)
+    assert got == want
+    batched = any(entry[0] == "done" and not entry[3] for entry in got["log"])
+    event("batch" if batched else "no batch")
+
+
+def test_ps_queue_batch_completes_in_admission_order():
+    """Equal work admitted at different instants gives tags that differ by
+    round-off only: they finish in one firing, in admission order."""
+    order = []
+    sim = Simulator()
+    queue = PSQueue(sim, lambda job, last: order.append((job.name, last)), tax=1.1)
+    jobs = [_Job("a", 0.3), _Job("b", 0.1), _Job("c", 0.3)]
+    queue.admit(jobs[0], 0.0)
+    queue.admit(jobs[1], 0.0)
+    queue.admit(jobs[2], 0.0)
+    sim.run_all()
+    assert order == [("b", True), ("a", False), ("c", False)]
+    assert sim.events_processed == 2
+
+
+class _RemainingWorkPS:
+    """The arithmetic the OS model's CPU used before the shared queue: each
+    job's remaining work, decreased by ``dt * rate(n)`` at every arrival
+    and departure, and the timer set to ``min(remaining) / rate(n)``."""
+
+    def __init__(self, sim, tax):
+        self.sim, self.tax = sim, tax
+        self.remaining = {}
+        self.last = sim.now
+        self.timeout = None
+        self.done = []
+
+    def rate(self, n):
+        return 1.0 if n == 1 else 1.0 / (n * self.tax)
+
+    def advance(self):
+        now = self.sim.now
+        if self.remaining:
+            progressed = (now - self.last) * self.rate(len(self.remaining))
+            for job in self.remaining:
+                self.remaining[job] = max(0.0, self.remaining[job] - progressed)
+        self.last = now
+
+    def arm(self):
+        if self.timeout is not None:
+            self.timeout.cancel()
+            self.timeout = None
+        if self.remaining:
+            delay = min(self.remaining.values()) / self.rate(len(self.remaining))
+            self.timeout = self.sim.timeout(delay)
+            self.timeout.callbacks.append(self.fire)
+
+    def admit(self, name, size):
+        self.advance()
+        self.remaining[name] = size
+        self.arm()
+
+    def fire(self, _timeout):
+        self.timeout = None
+        self.advance()
+        for job in [j for j, left in self.remaining.items() if left <= _EPS]:
+            del self.remaining[job]
+            self.done.append((job, self.sim.now))
+        self.arm()
+
+
+#: how far a virtual-time completion may sit from the remaining-work one
+_REL = 1e-9
+
+
+@given(
+    tax=st.floats(min_value=1.0, max_value=1.5),
+    arrivals=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.05), st.floats(min_value=1e-3, max_value=0.05)),
+        min_size=1,
+        max_size=12,
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_solo_burst_path_matches_general_ps_bit_for_bit(arrivals, context_switch):
-    """Completion times, run-queue and busy integrals, completions and the
-    event counts equal the general algorithm's to the last bit."""
-    for case in _assert_bit_identical(arrivals, context_switch):
-        event(case)
+def test_ps_queue_agrees_with_remaining_work_arithmetic(tax, arrivals):
+    """A finish tag is not repeated subtraction, so the two differ by
+    round-off only: the same completion order, and each completion time
+    within a relative ``_REL`` (1e-9) of the other."""
+    def completions(make):
+        sim = Simulator()
+        admit, finished = make(sim)
+        for i, (at, size) in enumerate(arrivals):
+            sim.timeout(at).callbacks.append(lambda _t, i=i, size=size: admit(i, size))
+        sim.run_all()
+        return dict(finished)
 
+    def shared(sim):
+        finished = []
+        queue = PSQueue(sim, lambda job, last: finished.append((job.name, sim.now)), tax=tax)
+        return (lambda i, size: queue.admit(_Job(i, size), sim.now)), finished
 
-@pytest.mark.parametrize("case", sorted(_CASES))
-def test_solo_burst_conversion_cases_are_reached(case):
-    assert case in _assert_bit_identical(_CASES[case], 25e-6)
+    def remaining_work(sim):
+        ref = _RemainingWorkPS(sim, tax)
+        return ref.admit, ref.done
+
+    got_times = completions(shared)
+    want_times = completions(remaining_work)
+    assert sorted(got_times) == sorted(want_times) == list(range(len(arrivals)))
+    for job, at in want_times.items():
+        assert got_times[job] == pytest.approx(at, rel=_REL)
+    # jobs more than the bound apart finish in the same order
+    for a in want_times:
+        for b in want_times:
+            if want_times[a] < want_times[b] * (1 - 2 * _REL):
+                assert got_times[a] < got_times[b]
 
 
 # -- in-place dispatch of a callback's last-act trigger ------------------------

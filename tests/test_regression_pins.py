@@ -89,39 +89,42 @@ def test_pin_knights_tour_point():
 # simulated clock, the event counts and every CPU's run-queue and busy
 # integrals bit for bit (as float.hex()).  The switched run is mostly solo
 # bursts (one kernel per machine); the bus run doubles kernels up on six
-# machines, so its bursts share CPUs.
+# machines, so its bursts share CPUs.  The float fields were re-pinned when
+# the CPU became a virtual-time PS queue: a finish tag rounds differently
+# from repeated subtraction of the remaining work (elapsed moved by 2.1e-14
+# and 2.2e-15 relative); both event counts stayed as they were.
 EXACT_PINS = {
     "switch-8-batched": {
-        "elapsed": "0x1.1907a0ec71ec7p-5",
+        "elapsed": "0x1.1907a0ec71ed2p-5",
         # 3462 while each NIC started a driver process (one event per NIC)
         # and each gmem read scheduled a combining marker, joined or not
         "sim_events": 3342,
         "events_cancelled": 309,
         "runq": [
-            "0x1.ac326baa987a3p-1", "0x1.517350a0f5312p-2", "0x1.5080981cdab69p-2",
-            "0x1.265c39df04b5bp-2", "0x1.477a03d4e6908p-2", "0x1.3b5d0c25d8d50p-2",
-            "0x1.29672b5575330p-2", "0x1.33ff9e9180ad0p-2",
+            "0x1.ac326baa987a7p-1", "0x1.517350a0f5300p-2", "0x1.5080981cdab62p-2",
+            "0x1.265c39df04b2bp-2", "0x1.477a03d4e6843p-2", "0x1.3b5d0c25d8c91p-2",
+            "0x1.29672b5575356p-2", "0x1.33ff9e9180aa1p-2",
         ],
         "util": [
-            "0x1.142efad76505ep-1", "0x1.dff1e05a8b530p-3", "0x1.dfee90af01351p-3",
-            "0x1.dfcfe35c33031p-3", "0x1.dfeeb9dae9655p-3", "0x1.dfe28787170f2p-3",
-            "0x1.dfcd3eea03223p-3", "0x1.dfdcc5873b00cp-3",
+            "0x1.142efad765050p-1", "0x1.dff1e05a8b50bp-3", "0x1.dfee90af01344p-3",
+            "0x1.dfcfe35c3302cp-3", "0x1.dfeeb9dae9638p-3", "0x1.dfe28787170eep-3",
+            "0x1.dfcd3eea031ffp-3", "0x1.dfdcc5873b005p-3",
         ],
     },
     "bus-12-on-6": {
-        "elapsed": "0x1.ad2315975b0e3p-3",
+        "elapsed": "0x1.ad2315975b182p-3",
         # 10278 before the bus arbiter became one timer: each arbitration
         # then also ended a resolver process (one event); 9545 while each
         # NIC started a driver process (one event per NIC)
         "sim_events": 9539,
         "events_cancelled": 1178,
         "runq": [
-            "0x1.8925a5996fec5p+0", "0x1.a9b7f776df890p-1", "0x1.94a59d625ab01p-1",
-            "0x1.9c90ded32a59bp-1", "0x1.b17e7975f21cep-1", "0x1.9aceae2bd6040p-1",
+            "0x1.8925a5996fe2cp+0", "0x1.a9b7f776df89cp-1", "0x1.94a59d625aaadp-1",
+            "0x1.9c90ded32a4fdp-1", "0x1.b17e7975f21f9p-1", "0x1.9aceae2bd60a6p-1",
         ],
         "util": [
-            "0x1.844c28d8909c0p-1", "0x1.beca6480a772ap-2", "0x1.bea511bf2b184p-2",
-            "0x1.bec80c347e062p-2", "0x1.beb7b1576b9e7p-2", "0x1.bebd302b2d803p-2",
+            "0x1.844c28d89092ep-1", "0x1.beca6480a7675p-2", "0x1.bea511bf2b0cbp-2",
+            "0x1.bec80c347dfb1p-2", "0x1.beb7b1576b936p-2", "0x1.bebd302b2d755p-2",
         ],
     },
 }
@@ -304,7 +307,9 @@ def test_exact_pin_traffic(policy):
 # into its per-message ``cat="msg"`` records (``trace_records``/``trace``,
 # digested as ``time|k<id>|send/recv|[type, peer, bytes]`` lines) and its
 # other spans.  Each is a sha256 so a moved key or a skipped record shows as
-# a changed digest.
+# a changed digest.  ``trace`` and ``span_digest`` hash timestamps, so they
+# moved with EXACT_PINS' elapsed when the CPU became a virtual-time queue;
+# the stat digests and both record counts did not.
 TRACE_PINS = {
     "switch-8-batched": {
         "stats": {
@@ -320,9 +325,9 @@ TRACE_PINS = {
             "procman": "45f2f10fc81fbeb90111564a25f9f4b594366ebbe044b4ea7f6ddd3b56f48931",
         },
         "trace_records": 498,
-        "trace": "97ccf906810cc1c3cdc5bb7b90df60d8c06aa63ac7af2d3b3f0cbba4be56f216",
+        "trace": "1b968af88918cea73908b5cd36524b91cec80b08ee1d69d91ac941ec778f2ffa",
         "spans": 1971,
-        "span_digest": "793708aef28e9c589e00f4adff9a3efeaabcc22e158aadd13b3926f9af80186f",
+        "span_digest": "5720be8698fcdd74f8885cd137cd1701cc90eb06b1b1b1de24bc72cafd17085a",
     },
     "bus-12-on-6": {
         "stats": {
@@ -338,9 +343,9 @@ TRACE_PINS = {
             "procman": "a9a3f5f93ab0abf974c1accbb03b099637e091f51913217d7e24644a268997c3",
         },
         "trace_records": 1046,
-        "trace": "29071c81c8f55fae2fc1a47f568b44db3a360f60aecfa37fb0171145f62ecc54",
+        "trace": "426acd4ce5c5b227511c935446aefc0580203c18d8bcae1c5041eeaad039a827",
         "spans": 4906,
-        "span_digest": "0e681fc8af9643bfdb22fec7835f55a5fdd430bf9793c28b7c9db029b1dfd6db",
+        "span_digest": "efad70f35844411193243806819e6e0bac17544bad6cb74c9915182075b62c64",
     },
 }
 

@@ -64,7 +64,10 @@ X`` gates the engine micro-benches of each group's first and last entry:
 the same simulated outcome in no more events, and a speed-up of at least
 X in the group that starts at ``SPEEDUP_BASELINE`` (the engine before its
 fast paths) or no wall regression beyond ``--tolerance`` in every later
-group.  It fails if no group has two entries to compare.
+group.  It fails if no group has two entries to compare.  An entry may
+declare ``"outcome_change": {bench: reason}``: the exact-outcome rule for
+the named benches then restarts at that entry, while the speed bar and the
+rule that events and cancellations never rise still span the whole group.
 
 Exit status is non-zero on any failed gate, mismatch or regression.
 """
@@ -323,6 +326,15 @@ SPEEDUP_BASELINE = "pre-PR5 seed engine"
 _OUTCOME = ("sim_now", "cancelled")
 
 
+def outcome_base(trajectory: list, last: dict, name: str) -> dict:
+    """The entry whose outcome of bench ``name`` the last entry of ``last``'s
+    host group must repeat: the group's latest entry that declares an
+    ``outcome_change`` of ``name``, else its first."""
+    group = [e for e in trajectory if host_stamp(e) == host_stamp(last)]
+    declared = [e for e in group if name in e.get("outcome_change", {})]
+    return declared[-1] if declared else group[0]
+
+
 def trajectory_gates(trajectory: list, require_speedup: float, tolerance: float) -> Gates:
     """Micro-bench gates of every host-stamp group's first -> last entry."""
     gates: Gates = []
@@ -332,8 +344,10 @@ def trajectory_gates(trajectory: list, require_speedup: float, tolerance: float)
             ref, cur = first["results"].get(name), last["results"].get(name)
             if ref is None or cur is None:
                 continue
-            same = (all(ref[fld] == cur[fld] for fld in _OUTCOME)
-                    and cur["events"] <= ref["events"])
+            base = outcome_base(trajectory, last, name)["results"][name]
+            same = (all(base[fld] == cur[fld] for fld in _OUTCOME)
+                    and all(cur[fld] <= min(ref[fld], base[fld])
+                            for fld in ("events", "cancelled")))
             speedup = ref["wall"] / cur["wall"]
             outcome = "" if same else ", simulated outcome differs"
             gates.append((f"{last['label']!r} {name}: {speedup:.2f}x >= {bar:.2f}x{outcome}",
