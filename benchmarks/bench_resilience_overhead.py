@@ -16,45 +16,49 @@ The contract mirrors the sanitizer and tracing benches
 
 import time
 
-from repro.apps.knights_tour import knights_tour_worker
+from repro.apps.knights_tour import knights_tour_worker, knights_tour_workload
 from repro.dse import ClusterConfig, run_parallel
 from repro.hardware import get_platform
+from repro.perf import time_pairs
 from repro.resilience import ResilienceConfig, run_resilient
 from repro.resilience.workloads import resilient_gauss_seidel
 
 N_JOBS = 16
 GS_ARGS = (48, 4, 7, False)  # n, sweeps, seed, verify
-REPEATS = 3
+PAIRS = 9
 
 
-def _run_plain() -> "tuple[float, float]":
-    """(best wall-clock seconds, simulated elapsed) with resilience=None."""
-    best = float("inf")
-    elapsed_sim = None
-    for _ in range(REPEATS):
-        config = ClusterConfig(
-            platform=get_platform("sunos"), n_processors=4, resilience=None
-        )
-        start = time.perf_counter()
-        result = run_parallel(config, knights_tour_worker, args=(N_JOBS,))
-        best = min(best, time.perf_counter() - start)
-        if elapsed_sim is None:
-            elapsed_sim = result.elapsed
-        else:
-            # The disabled path must stay bit-identical in simulated time.
-            assert result.elapsed == elapsed_sim
-    return best, elapsed_sim
+def _run_plain(outcomes: list) -> None:
+    """One Knight's Tour run with resilience=None, its job pool rebuilt.
+
+    Clearing the memo makes every run search the tree, as a first run
+    does, so each timed body is tens of milliseconds, not the ~10 ms of a
+    run that only replays cached counts; ``outcomes`` gets the run's
+    simulated elapsed time and event counts.
+    """
+    knights_tour_workload.cache_clear()
+    config = ClusterConfig(
+        platform=get_platform("sunos"), n_processors=4, resilience=None
+    )
+    result = run_parallel(config, knights_tour_worker, args=(N_JOBS,))
+    sim = result.cluster.sim
+    outcomes.append((result.elapsed, sim.events_processed, sim.events_cancelled))
 
 
 def test_disabled_path_is_deterministic_and_cheap():
-    plain, sim_plain = _run_plain()
-    again, sim_again = _run_plain()
+    outcomes: list = []
+    times = time_pairs(lambda: _run_plain(outcomes), lambda: _run_plain(outcomes), PAIRS)
+    elapsed, events, cancelled = outcomes[0]
     print(f"\nknights-tour n_jobs={N_JOBS} p=4 resilience=None: "
-          f"best {plain:.3f}s / {again:.3f}s, simulated {sim_plain:.6f}s")
-    assert sim_plain == sim_again
-    # Two best-of-three measurements of the *same* configuration bound the
-    # disabled path against itself: the hooks add no systematic cost.
-    assert min(plain, again) / max(plain, again) > 1 / 1.02 - 0.15
+          f"{PAIRS} pairs, median ratio {times.median_ratio:.3f} "
+          f"(ratios {' '.join(f'{r:.2f}' for r in times.ratios)}), "
+          f"simulated {elapsed:.6f}s, {events} events, {cancelled} cancelled")
+    # Exact companions: the disabled path does the same simulated work on
+    # every run, bit for bit.
+    assert outcomes == [outcomes[0]] * (2 * PAIRS)
+    # Paired runs of the *same* configuration bound the disabled path
+    # against itself: the hooks add no systematic cost.
+    assert times.balance > 1 / 1.02 - 0.15
 
 
 def test_fault_free_resilient_run_is_loosely_bounded():

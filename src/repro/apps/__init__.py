@@ -9,6 +9,7 @@ from .dct2 import (
     DEFAULT_KEEP,
     block_work,
     compress_block,
+    dct2_band,
     dct2_block,
     dct2_image_seq,
     dct2_worker,
@@ -66,6 +67,7 @@ __all__ = [
     "DEFAULT_KEEP",
     "block_work",
     "compress_block",
+    "dct2_band",
     "dct2_block",
     "dct2_image_seq",
     "dct2_worker",

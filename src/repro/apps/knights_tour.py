@@ -10,12 +10,14 @@ cannot use the processors at all.
 
 We reproduce exactly that: the search tree is split at a prefix depth into
 ``n_jobs`` (or slightly more) independent subtree jobs; each job's *real*
-node count and tour count come from actually running the backtracking
-search (cached), measured once per symmetry orbit: a board symmetry that
-fixes the start square maps one prefix's subtree onto another's, so both
-have the same counts; processors then pull jobs from the shared queue, and
-the simulated cost per job is its measured node count times the per-node
-work.
+node count and tour count come from enumerating its whole subtree (cached),
+once per symmetry orbit: a board symmetry that fixes the start square maps
+one prefix's subtree onto another's, so both have the same counts.  The
+enumeration walks the subtrees of all orbits at once on visited-square
+bitmasks in numpy and counts exactly the nodes and tours that the
+recursive backtracking search (``count_tours_seq``) visits.  Processors
+then pull jobs from the shared queue, and the simulated cost per job is
+its measured node count times the per-node work.
 
 The sequential reference counts all complete tours from a fixed start
 square; the parallel result must match it exactly.
@@ -150,6 +152,78 @@ def count_tours_seq(n: int = DEFAULT_BOARD, start: int = DEFAULT_START) -> Tuple
     return search.tours, search.nodes
 
 
+#: search states expanded per numpy step of :func:`_subtree_counts`; the
+#: pending states wait on a stack in pieces of at most this many, so the
+#: enumeration holds a few pieces per search depth: 0.40 MiB at its peak for
+#: the 5x5 board's 128 jobs, where smaller pieces cost more numpy steps
+_CHUNK = 2048
+
+
+def _subtree_counts(
+    board: int, prefixes: List[Tuple[int, ...]], chunk: int = _CHUNK
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(nodes, tours) of the search subtree below each prefix, as
+    ``_Search.run_from`` counts them, for all prefixes in one enumeration.
+
+    A search state is its visited squares (an ``int32`` bitmask), its
+    current square (``int8``) and the index of the prefix it descends
+    from.  Each step pops a piece of states of one depth off a stack,
+    counts them as nodes of their prefixes and pushes their children, one
+    per unvisited knight move.  Bit ``board²`` of every mask is a sentinel
+    that is always set: the padded successor slots of squares with fewer
+    than eight moves point at it, so they never yield a child.  A state at
+    depth ``board²`` is a complete tour.
+    """
+    squares = board * board
+    if squares + 1 > 31:
+        raise ApplicationError(
+            f"a {board}x{board} board needs {squares + 1} mask bits, "
+            f"more than the 31 of an int32 mask"
+        )
+    succ = np.full((squares, len(_KNIGHT_DELTAS)), squares, dtype=np.int8)
+    for sq, dests in enumerate(knight_moves(board)):
+        succ[sq, : len(dests)] = dests
+    succ_bits = np.array([[1 << int(d) for d in row] for row in succ], dtype=np.int32)
+    count = len(prefixes)
+    nodes = np.zeros(count, dtype=np.int64)
+    tours = np.zeros(count, dtype=np.int64)
+
+    by_depth: Dict[int, List[int]] = {}
+    for k, path in enumerate(prefixes):
+        by_depth.setdefault(len(path), []).append(k)
+    stack = []
+    for depth, ks in by_depth.items():
+        for i in range(0, len(ks), chunk):
+            part = [prefixes[k] for k in ks[i : i + chunk]]
+            stack.append((
+                depth,
+                np.array([sum(1 << sq for sq in p) | 1 << squares for p in part], dtype=np.int32),
+                np.array([p[-1] for p in part], dtype=np.int8),
+                np.array(ks[i : i + chunk], dtype=np.int32),
+            ))
+    while stack:
+        depth, mask, sq, own = stack.pop()
+        nodes += np.bincount(own, minlength=count)
+        if depth == squares:
+            tours += np.bincount(own, minlength=count)
+            continue
+        rows = sq.astype(np.intp)
+        free = succ_bits.take(rows, axis=0)
+        free &= ~mask[:, None]
+        # nonzero() has a fast path for bools: on the int32 array the
+        # whole enumeration takes a third longer
+        slots = np.flatnonzero(free.astype(bool))
+        sq = succ.take(rows, axis=0).ravel().take(slots)
+        rows = slots >> 3  # eight successor slots per state
+        mask = mask.take(rows) | free.ravel().take(slots)
+        own = own.take(rows)
+        stack.extend(
+            (depth + 1, mask[i : i + chunk], sq[i : i + chunk], own[i : i + chunk])
+            for i in range(0, len(mask), chunk)
+        )
+    return nodes, tours
+
+
 @dataclass(frozen=True)
 class TourJob:
     """One subtree job: a path prefix with its measured cost and yield."""
@@ -181,8 +255,9 @@ def knights_tour_workload(
     frontier is at least ``n_jobs`` wide (dead prefixes are kept: a real
     work-splitting implementation cannot tell them apart in advance, and
     they are exactly the near-empty jobs that make high job counts pay pure
-    communication cost).  Each job keeps its own prefix; the search runs
-    once per orbit of prefixes under the symmetries that fix ``start``.
+    communication cost).  Each job keeps its own prefix; one prefix per
+    orbit under the symmetries that fix ``start`` is measured, all of them
+    in one enumeration (:func:`_subtree_counts`).
     """
     if n_jobs < 1:
         raise ApplicationError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -201,19 +276,21 @@ def knights_tour_workload(
             break
         frontier = nxt
 
-    search = _Search(board)
     symmetries = _stabiliser(board, start)
-    measured: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    jobs: List[TourJob] = []
+    orbits: Dict[Tuple[int, ...], int] = {}
+    members: List[Tuple[int, ...]] = []  # one searched prefix per orbit
+    of_job: List[int] = []
     for path in frontier:
         orbit = min(tuple(g[sq] for sq in path) for g in symmetries)
-        counts = measured.get(orbit)
-        if counts is None:
-            search.nodes = 0
-            search.tours = 0
-            search.run_from(path)
-            counts = measured[orbit] = (search.nodes, search.tours)
-        jobs.append(TourJob(prefix=path, nodes=counts[0], tours=counts[1]))
+        if orbit not in orbits:
+            orbits[orbit] = len(members)
+            members.append(path)
+        of_job.append(orbits[orbit])
+    nodes, tours = _subtree_counts(board, members)
+    jobs = [
+        TourJob(prefix=path, nodes=int(nodes[k]), tours=int(tours[k]))
+        for path, k in zip(frontier, of_job)
+    ]
     return KnightsTourWorkload(
         board=board,
         start=start,

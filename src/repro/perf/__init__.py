@@ -7,6 +7,10 @@ Two parts:
 * :mod:`repro.perf.netbench` — the transport x burst-loss goodput matrix
   recorded in ``BENCH_transport.json`` (same tool, ``--suite transport``).
 
+:mod:`repro.perf.paired` is the measuring helper of host-time assertions
+on a shared host: alternating pairs, the median per-pair ratio and its
+win count.
+
 Host-time attribution lives elsewhere: ``hostbench/run.py --trace 1`` for
 per-package self time and ``python -m cProfile`` for per-function calls.
 See ``docs/performance.md`` for how these guided the engine fast paths and
@@ -23,6 +27,7 @@ from .netbench import (
     run_stream,
     sweep_rows,
 )
+from .paired import PairedTimes, time_pairs
 
 __all__ = [
     "BENCHES",
@@ -36,4 +41,6 @@ __all__ = [
     "run_matrix",
     "run_stream",
     "sweep_rows",
+    "PairedTimes",
+    "time_pairs",
 ]

@@ -8,6 +8,7 @@ from repro.apps.dct2 import (
     block_work,
     blocks_per_side,
     compress_block,
+    dct2_band,
     dct2_block,
     dct2_image_seq,
     dct2_worker,
@@ -68,6 +69,45 @@ def test_compress_validation():
         compress_block(np.zeros((2, 2)), 0.0)
 
 
+def _per_block(band, block_size, keep):
+    return np.hstack([
+        compress_block(dct2_block(band[:, x : x + block_size]), keep)
+        for x in range(0, band.shape[1], block_size)
+    ])
+
+
+@pytest.mark.parametrize("block_size", [2, 4, 8, 16])
+@pytest.mark.parametrize("keep", [0.1, 0.25, 0.5, 1.0])
+def test_band_kernel_is_byte_equal_to_per_block(block_size, keep):
+    """One stacked product and one partition per band give the same bytes
+    as the per-block reference, on every band of the image; a BLAS whose
+    stacked product rounds differently fails here."""
+    image = make_image(64, seed=3)
+    for top in range(0, 64, block_size):
+        band = image[top : top + block_size]
+        assert dct2_band(band, block_size, keep).tobytes() == \
+            _per_block(band, block_size, keep).tobytes()
+
+
+def test_band_kernel_keeps_every_tie_at_the_threshold():
+    """A lone top-left pixel in a 2x2 block has four coefficients of equal
+    magnitude: with keep=0.25 (n_keep 1) all four tie at the threshold and
+    all four are kept, by the band kernel as by compress_block."""
+    band = np.array([[1.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    got = dct2_band(band, 2, 0.25)
+    assert got.tobytes() == _per_block(band, 2, 0.25).tobytes()
+    assert np.count_nonzero(got[:, :2]) == 4 and np.count_nonzero(got[:, 2:]) == 4
+    assert len(set(np.abs(got[:, :2]).ravel())) == len(set(np.abs(got[:, 2:]).ravel())) == 1
+
+
+def test_band_kernel_keep_all_and_validation():
+    band = make_image(16)[:4]
+    assert dct2_band(band, 4, 1.0).tobytes() == _per_block(band, 4, 1.0).tobytes()
+    assert np.count_nonzero(dct2_band(band, 4, 1.0)) == band.size
+    with pytest.raises(ApplicationError):
+        dct2_band(band, 4, 0.0)
+
+
 def test_make_image_deterministic_and_bounded():
     img = make_image(64)
     assert img.shape == (64, 64)
@@ -116,9 +156,11 @@ def test_work_model_grows_with_block_size():
 
 @pytest.mark.parametrize("block_size", [2, 4, 8])
 def test_parallel_matches_sequential(block_size):
+    """The worker's per-band numbers equal the per-block reference in
+    every bit."""
     res = run_parallel(cfg(3), dct2_worker, args=(32, block_size))
     expected = dct2_image_seq(make_image(32), block_size)
-    assert np.allclose(res.returns[0]["coeffs"], expected, atol=1e-10)
+    assert res.returns[0]["coeffs"].tobytes() == expected.tobytes()
 
 
 def test_parallel_block_counts_cover_image():

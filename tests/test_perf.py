@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf import BENCHES, MICRO_BENCHES, run_bench
+from repro.perf import BENCHES, MICRO_BENCHES, PairedTimes, run_bench, time_pairs
 from repro.sim import Simulator, Timeout
 
 REPO = Path(__file__).resolve().parent.parent
@@ -396,6 +396,65 @@ def test_diff_mode_reports_an_ulp_and_an_event_for_what_they_are():
     assert "  events hostbench paper_bus sim.cancelled: 7 -> 7 (unchanged)" in lines
     # counts are never folded into the output lines
     assert not any("events" in line for line in lines if not line.startswith("  events"))
+
+
+def test_diff_mode_runs_the_experiments_sr_dual_rows_exactly():
+    """--diff carries the six rows of the EXPERIMENTS.md sr/dual table as
+    float-exact fields; a planted one-ulp goodput change in one row is
+    reported as such, and the row's event count gets its own line."""
+    table = (REPO / "EXPERIMENTS.md").read_text().split("| transport | loss |")[1]
+    quoted = [tuple(cell.strip() for cell in line.split("|")[1:3])
+              for line in table.splitlines()[2:8]]
+    assert list(paired_bench.SR_DUAL_ROWS) == quoted
+    row = {"count": 200, "mean": 0.0706, "p50": 0.0537109375, "p99": 0.3046875,
+           "goodput_rps": 32.58, "elapsed": 6.1384, "sim_events": 90000}
+    parent = {"experiments": {f"{t} loss {loss}": dict(row)
+                              for t, loss in paired_bench.SR_DUAL_ROWS}}
+    change = copy.deepcopy(parent)
+    change["experiments"]["sr loss 0.05"]["goodput_rps"] += 2 ** -47  # one ulp
+    lines = paired_bench.diff_lines(parent, change)
+    assert "  experiments mean: bit-identical" in lines
+    assert "  experiments count: integer-identical" in lines
+    (moved,) = [line for line in lines if "goodput_rps" in line]
+    assert "largest relative |delta| 2.18e-16 (sr loss 0.05:" in moved
+    assert "  events experiments dual loss 0 sim_events: 90000 -> 90000 (unchanged)" in lines
+
+
+def test_paired_times_on_canned_numbers():
+    times = PairedTimes(first=(1.0, 2.0, 4.0, 1.0), second=(2.0, 1.0, 4.0, 0.5))
+    assert times.ratios == (2.0, 0.5, 1.0, 0.5)
+    assert times.median_ratio == 0.75
+    assert times.wins == 2  # a tie is no win
+    assert times.balance == 0.75
+    assert PairedTimes((1.0,), (0.5,)).balance == PairedTimes((0.5,), (1.0,)).balance == 0.5
+    with pytest.raises(ValueError):
+        time_pairs(lambda: None, lambda: None, 0)
+
+
+def test_paired_times_alternate_and_catch_a_planted_2x_slowdown():
+    """The check of bench_resilience_overhead.py, balance > 1/1.02 - 0.15,
+    passes for one body against itself and fails when one side runs it
+    twice."""
+    calls = []
+
+    def body():
+        sum(range(300_000))
+
+    def slow():
+        calls.append("slow")
+        body()
+        body()
+
+    def fast():
+        calls.append("fast")
+        body()
+
+    bound = 1 / 1.02 - 0.15
+    planted = time_pairs(fast, slow, 7)
+    assert calls[:4] == ["fast", "slow", "slow", "fast"]  # alternating order
+    assert planted.balance < bound
+    assert planted.median_ratio > 1 / bound and planted.wins <= 1
+    assert time_pairs(body, body, 7).balance > bound
 
 
 # -- engine fast paths ---------------------------------------------------------

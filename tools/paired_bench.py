@@ -25,7 +25,8 @@ so both sides write and read bytecode caches alike.
 
 In the same kind of export it runs the exact measurements of
 ``tools/check_bench.py`` (the ``hostbench``, ``traffic`` and ``transport``
-suites, and the engine suite without its wall times) on both sides, and
+suites, and the engine suite without its wall times) and the six rows of
+the EXPERIMENTS.md ``sr``/``dual`` burst-loss table on both sides, and
 prints per field whether the two are bit-identical (floats),
 integer-identical (counts) or, if not, the largest relative |delta| and
 where.  Event and cancellation counts are printed on their own lines, with
@@ -122,21 +123,39 @@ def run_hostbench(root: Path, workload: str, seed: int, seconds) -> Metrics:
 #: the suites --diff runs, and the fields that count heap events
 DIFF_SUITES = ("hostbench", "traffic", "transport", "engine")
 EVENT_FIELDS = ("events", "cancelled", "sim.events", "sim.cancelled", "sim_events")
+#: the EXPERIMENTS.md sr/dual burst-loss table, which --diff also runs: one
+#: row per (transport, loss), each printed by
+#: ``dse-experiments traffic --cluster --payload 256 --transport T --loss L``
+SR_DUAL_ROWS = tuple((transport, loss) for loss in ("0", "0.02", "0.05")
+                     for transport in ("sr", "dual"))
 
-#: run in an export's root: that side's check_bench measurements as JSON
+#: run in an export's root: that side's check_bench measurements, and the
+#: sr/dual rows under "experiments", as JSON
 _MEASURE = """
-import argparse, contextlib, importlib.util, json, sys
+import argparse, contextlib, importlib.util, json, os, sys, tempfile
+request = json.loads(sys.argv[1])
 spec = importlib.util.spec_from_file_location("check_bench", "tools/check_bench.py")
 check_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(check_bench)
 args = argparse.Namespace(smoke=False, repeats=1, tolerance=0.15, require_ratio=10.0)
 out = {}
 with contextlib.redirect_stdout(sys.stderr):
-    for name in sys.argv[1:]:
+    for name in request["suites"]:
         suite = check_bench.SUITES[name]
         results, _ = suite.measure(args)
         out[name] = {bench: {f: v for f, v in fields.items() if f not in suite.wall}
                      for bench, fields in results.items()}
+    if request["rows"]:
+        from repro.traffic.cli import traffic_main
+        rows = out["experiments"] = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "row.json")
+            for transport, loss in request["rows"]:
+                traffic_main(["--cluster", "--payload", "256", "--transport", transport,
+                              "--loss", loss, "--out", path])
+                with open(path) as f:
+                    rows[f"{transport} loss {loss}"] = {
+                        k: v for k, v in json.load(f).items() if k != "transport"}
 print(json.dumps({s: {b: {f: v.hex() if isinstance(v, float) else v
                           for f, v in fields.items()}
                       for b, fields in benches.items()}
@@ -144,10 +163,13 @@ print(json.dumps({s: {b: {f: v.hex() if isinstance(v, float) else v
 """
 
 
-def measure_exact(root: Path, suites: Sequence[str]) -> Dict[str, dict]:
-    """suite -> bench -> field -> value, measured in ``root``; floats travel
-    as ``float.hex`` so no digit is lost on the way."""
-    proc = subprocess.run([sys.executable, "-c", _MEASURE, *suites], cwd=root,
+def measure_exact(root: Path, suites: Sequence[str],
+                  rows: Sequence[Tuple[str, str]] = ()) -> Dict[str, dict]:
+    """suite -> bench -> field -> value, measured in ``root`` (the sr/dual
+    ``rows`` as suite ``experiments``); floats travel as ``float.hex`` so no
+    digit is lost on the way."""
+    request = json.dumps({"suites": list(suites), "rows": [list(r) for r in rows]})
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, request], cwd=root,
                           env=child_env(), capture_output=True, text=True, check=True)
     raw = json.loads(proc.stdout.strip().splitlines()[-1])
     return {s: {b: {f: float.fromhex(v) if isinstance(v, str) else v
@@ -232,8 +254,8 @@ def main(argv=None) -> int:
     try:
         parent = export(args.parent, scratch)
         if args.diff:
-            old = measure_exact(parent, DIFF_SUITES)
-            new = measure_exact(REPO, DIFF_SUITES)
+            old = measure_exact(parent, DIFF_SUITES, SR_DUAL_ROWS)
+            new = measure_exact(REPO, DIFF_SUITES, SR_DUAL_ROWS)
             print(f"simulated outputs, {args.parent} -> working tree:")
             print("\n".join(diff_lines(old, new)))
             return 0
